@@ -1,16 +1,23 @@
-"""Hot numeric kernels for gate sweeps on matrix-product chains.
+"""Hot numeric kernels for gate layers on matrix-product chains.
 
 The two-site bond update (theta assembly, gate contraction, SVD re-split,
 guarded lambda division) dominates runtime for every engine, so it lives here
 in a single njit-compatible implementation. When numba is importable and the
 environment variable ``OPENCHAIN_JIT`` is not set to ``0``/``false``/``no``,
 the jitted build is used; otherwise the exact same Python/numpy source runs
-uncompiled. ``benchmarks/bench_kernels.py`` compares the two lanes.
+uncompiled. ``perfbench/run.py`` measures end-to-end runs and, with
+``--trace 1``, the time spent in each of these functions.
 
 Sweep conventions (shared by the pure-state and density-operator engines):
-a normal sweep applies all odd bonds then all even bonds left-to-right
-(bonds counted from 1), a transposed sweep reverses both orderings, so the
-transposed sweep is the exact reverse-ordered product of the normal one.
+bond ``b`` joins sites ``b`` and ``b + 1``. Every gate sweep and Trotter step
+runs through one layer executor, ``apply_layers``, which takes a list of
+``(parity, per-bond gate table)`` layers and applies ``table[b]`` at each bond
+``b`` of that parity. Bonds of one parity share no site, so the order within a
+layer does not change the arithmetic. A chain with as many bonds as sites is a
+periodic cell (the infinite-chain unit cell): its last bond wraps around to
+site 0. A normal sweep is the layer of parity 0 then the layer of parity 1; a
+transposed sweep is the reverse, so it is the exact reverse-ordered product of
+the normal one.
 """
 
 import os
@@ -23,6 +30,7 @@ __all__ = [
     "backend_name",
     "bond_update",
     "bond_update_nogate",
+    "apply_layers",
     "sweep_chain",
     "canonicalize_chain",
     "schmidt_entropy",
@@ -37,7 +45,7 @@ JIT_ENABLED = _env not in ("0", "false", "no", "off")
 if JIT_ENABLED:
     try:
         from numba import njit
-    except ImportError:  # pragma: no cover - numba is a hard dependency
+    except ImportError:  # pragma: no cover - numba is optional (the "jit" extra)
         JIT_ENABLED = False
 
 
@@ -137,10 +145,15 @@ else:
 _ONE = np.ones(1, dtype=np.float64)
 
 
-def _boundary(lambdas, bond, n_bonds):
+def _boundary(lambdas, bond, n_sites):
+    """(right site, left lambda, right lambda) around ``bond``."""
+    n_bonds = len(lambdas)
+    right = (bond + 1) % n_sites
+    if n_bonds == n_sites:   # periodic cell: the outer lambdas wrap around
+        return right, lambdas[bond - 1], lambdas[right]
     lam_l = lambdas[bond - 1] if bond > 0 else _ONE
     lam_r = lambdas[bond + 1] if bond < n_bonds - 1 else _ONE
-    return lam_l, lam_r
+    return right, lam_l, lam_r
 
 
 def apply_bond_gate(tensors, lambdas, gate, bond, chi_max, cutoff):
@@ -149,13 +162,13 @@ def apply_bond_gate(tensors, lambdas, gate, bond, chi_max, cutoff):
     ``gate`` may be None (identity, used for canonical-form restores). The
     kept norm of the updated bond is divided out of the chain and returned as
     a log so callers can track either discarded norm (trajectories) or the
-    overall scale (density operators).
+    overall scale (density operators). A vanishing kept norm raises
+    FloatingPointError.
     """
-    n_bonds = len(lambdas)
-    lam_l, lam_r = _boundary(lambdas, bond, n_bonds)
+    right, lam_l, lam_r = _boundary(lambdas, bond, len(tensors))
     if gate is None:
         gl, lam, gr, kept, tw = bond_update_nogate(
-            lam_l, tensors[bond], lambdas[bond], tensors[bond + 1], lam_r,
+            lam_l, tensors[bond], lambdas[bond], tensors[right], lam_r,
             chi_max, cutoff)
     else:
         dtype = tensors[bond].dtype
@@ -166,18 +179,42 @@ def apply_bond_gate(tensors, lambdas, gate, bond, chi_max, cutoff):
                 raise TypeError("complex gate applied to a real-valued chain; "
                                 "gate flavor does not match the state")
         gl, lam, gr, kept, tw = bond_update(
-            lam_l, tensors[bond], lambdas[bond], tensors[bond + 1], lam_r,
+            lam_l, tensors[bond], lambdas[bond], tensors[right], lam_r,
             gate, chi_max, cutoff)
     tensors[bond] = gl
-    tensors[bond + 1] = gr
+    tensors[right] = gr
     lambdas[bond] = lam
     if kept <= 0.0:
         raise FloatingPointError(f"vanishing norm in bond update at bond {bond}")
     return float(np.log(kept)), float(tw)
 
 
+def apply_layers(tensors, lambdas, layers, chi_max, cutoff):
+    """Apply gate layers in order; returns (log_norm, max_trunc_weight).
+
+    ``layers`` is a sequence of ``(parity, gates)``: each layer applies
+    ``gates[bond]`` at every bond of that parity, left to right. ``gates`` is
+    a per-bond list (entries may repeat the same matrix).
+    """
+    n_bonds = len(lambdas)
+    log_norm = 0.0
+    max_tw = 0.0
+    for parity, gates in layers:
+        for bond in range(parity, n_bonds, 2):
+            ln, tw = apply_bond_gate(tensors, lambdas, gates[bond], bond,
+                                     chi_max, cutoff)
+            log_norm += ln
+            if tw > max_tw:
+                max_tw = tw
+    return log_norm, max_tw
+
+
 def sweep_bond_order(n_bonds, transposed):
-    """Bond visit order for one sweep (odd bonds then even, 1-indexed)."""
+    """Bond order of one sweep as a gate product (parity 0 bonds, then parity 1).
+
+    The transposed order is the exact reverse. The dense mirror of the
+    conditional trajectory scheme applies its gates in this order.
+    """
     odd = list(range(0, n_bonds, 2))
     even = list(range(1, n_bonds, 2))
     if transposed:
@@ -190,14 +227,8 @@ def sweep_chain(tensors, lambdas, gates, chi_max, cutoff, transposed=False):
 
     ``gates`` is a per-bond list (entries may repeat the same matrix).
     """
-    log_norm = 0.0
-    max_tw = 0.0
-    for bond in sweep_bond_order(len(lambdas), transposed):
-        ln, tw = apply_bond_gate(tensors, lambdas, gates[bond], bond, chi_max, cutoff)
-        log_norm += ln
-        if tw > max_tw:
-            max_tw = tw
-    return log_norm, max_tw
+    layers = [(1, gates), (0, gates)] if transposed else [(0, gates), (1, gates)]
+    return apply_layers(tensors, lambdas, layers, chi_max, cutoff)
 
 
 def canonicalize_chain(tensors, lambdas, chi_max, cutoff, start_bond=0):

@@ -211,8 +211,14 @@ def bond_weights(n_sites):
 
 
 def build_super_gates(p: ModelParams, basis: OperatorBasis, dt_fraction: float):
-    """Per-bond super gates for a finite chain (or the bulk gate if infinite)."""
+    """Per-bond super gates for a finite chain (or the bulk gate if infinite).
+
+    Bonds with equal dissipator weights share one gate, so a chain of any
+    length builds at most three.
+    """
     if p.n_sites is None:
         return [build_super_gate(p, basis, dt_fraction)]
-    return [build_super_gate(p, basis, dt_fraction, wl, wr)
-            for (wl, wr) in bond_weights(p.n_sites)]
+    weights = bond_weights(p.n_sites)
+    gates = {w: build_super_gate(p, basis, dt_fraction, *w)
+             for w in dict.fromkeys(weights)}
+    return [gates[w] for w in weights]

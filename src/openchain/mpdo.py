@@ -27,7 +27,7 @@ __all__ = [
     "product_mpdo", "neel_mpdo", "mpdo_from_dense",
     "apply_super_gate", "canonicalize", "operator_entanglement", "entropies",
     "trace", "local_expectation", "all_sz", "renormalize_trace",
-    "TROTTER4_SEQUENCE", "build_trotter4_gates", "trotter4_step",
+    "TROTTER4_SEQUENCE", "TROTTER4_LAYERS", "build_trotter4_gates", "trotter4_step",
     "itebd_trotter4_step", "reorthogonalize", "itebd_sz", "itebd_renormalize",
     "save_checkpoint", "load_checkpoint",
 ]
@@ -247,51 +247,74 @@ TROTTER4_SEQUENCE = (
 )
 
 
+def _fuse_sweeps(sweeps):
+    """Compile (fraction, transposed) sweeps into fused (parity, fraction) layers.
+
+    A normal sweep is the parity-0 layer then the parity-1 layer; a transposed
+    sweep is the reverse. Adjacent layers on the same bonds apply
+    exp(L_b a) exp(L_b b) with one bond generator L_b, which is exactly
+    exp(L_b (a + b)), so they merge into one layer.
+    """
+    layers = []
+    for frac, transposed in sweeps:
+        for parity in ((1, 0) if transposed else (0, 1)):
+            if layers and layers[-1][0] == parity:
+                layers[-1] = (parity, layers[-1][1] + frac)
+            else:
+                layers.append((parity, frac))
+    return tuple(layers)
+
+
+# TROTTER4_SEQUENCE as 25 gate layers (36 before fusion): (parity, multiple of
+# dt/12), alternating parity and starting with parity 1; fractions 1, 2, -1.
+TROTTER4_LAYERS = _fuse_sweeps(TROTTER4_SEQUENCE)
+_TROTTER4_FRACTIONS = sorted({frac for _, frac in TROTTER4_LAYERS})
+
+
 def build_trotter4_gates(p: ModelParams, basis, dt):
-    """Per-bond gate tables for the two step sizes used by the sequence."""
+    """Per-bond gate tables for the step fractions used by TROTTER4_LAYERS."""
     return {frac: [g.matrix for g in build_super_gates(p, basis, frac * dt / 12.0)]
-            for frac in (1, -2)}
+            for frac in _TROTTER4_FRACTIONS}
+
+
+def _run_trotter4(state: MpdoState, gates, n_gates, chi, cutoff):
+    """Run TROTTER4_LAYERS; every gate table must hold ``n_gates`` gates."""
+    n_bonds = len(state.lambdas)
+    tables = {}
+    for frac in _TROTTER4_FRACTIONS:
+        table = gates[frac]
+        if len(table) != n_gates:
+            raise ValueError(
+                f"gate table for step {frac}*dt/12 has {len(table)} bond gates, "
+                f"expected {n_gates}")
+        tables[frac] = list(table) * (n_bonds // n_gates)
+    layers = [(parity, tables[frac]) for parity, frac in TROTTER4_LAYERS]
+    ln, tw = kernels.apply_layers(state.tensors, state.lambdas, layers, chi, cutoff)
+    state.log_scale += ln
+    return tw
 
 
 def trotter4_step(state: MpdoState, gates, chi, cutoff):
-    """One step dt of the 18-sweep fourth-order decomposition (finite chain)."""
-    max_tw = 0.0
-    for frac, transposed in TROTTER4_SEQUENCE:
-        table = gates[frac]
-        bond_gates = table if len(table) == len(state.lambdas) else table * len(state.lambdas)
-        ln, tw = kernels.sweep_chain(state.tensors, state.lambdas, bond_gates,
-                                     chi, cutoff, transposed=transposed)
-        state.log_scale += ln
-        max_tw = max(max_tw, tw)
-    return max_tw
+    """One step dt of the fourth-order decomposition on a finite chain.
+
+    Runs the 25 fused layers of TROTTER4_LAYERS through the shared layer
+    executor; returns the largest truncation weight. ``gates`` comes from
+    build_trotter4_gates for the same chain and holds one gate per bond.
+    """
+    return _run_trotter4(state, gates, len(state.lambdas), chi, cutoff)
 
 
 # ----------------------------------------------------------------------------
 # infinite chain (two-site unit cell)
 # ----------------------------------------------------------------------------
 
-def _itebd_bond(state: MpdoState, gate, bond, chi, cutoff):
-    """Gate on cell bond 0 = (A,B) or 1 = (B,A); outer bond is the other lambda."""
-    la, lb = state.lambdas[bond], state.lambdas[1 - bond]
-    left, right = (0, 1) if bond == 0 else (1, 0)
-    gl, lam, gr, kept, tw = kernels.bond_update(
-        lb, state.tensors[left], la, state.tensors[right], lb, gate, chi, cutoff)
-    state.tensors[left] = gl
-    state.tensors[right] = gr
-    state.lambdas[bond] = lam
-    state.log_scale += float(np.log(kept))
-    return tw
-
-
 def itebd_trotter4_step(state: MpdoState, gates, chi, cutoff):
-    """Fourth-order step on the unit cell; a sweep is (A,B) then (B,A)."""
-    max_tw = 0.0
-    for frac, transposed in TROTTER4_SEQUENCE:
-        gate = gates[frac][0]
-        order = (1, 0) if transposed else (0, 1)
-        for bond in order:
-            max_tw = max(max_tw, _itebd_bond(state, gate, bond, chi, cutoff))
-    return max_tw
+    """Fourth-order step on the unit cell; returns the largest truncation weight.
+
+    Runs TROTTER4_LAYERS with parity = cell bond (0 = (A,B), 1 = (B,A)).
+    ``gates`` holds the bulk tables of an infinite chain, one gate each.
+    """
+    return _run_trotter4(state, gates, 1, chi, cutoff)
 
 
 def _transfer_fixed_point(mats, tol, max_iter):
