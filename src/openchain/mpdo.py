@@ -321,12 +321,12 @@ def _transfer_fixed_point(mats, tol, max_iter):
     """Dominant fixed point of X -> sum_s M_s X M_s^dag by power iteration."""
     chi = mats.shape[1]
     stacked = mats.reshape(-1, chi)              # (s*chi, chi)
+    adj = mats.conj().transpose(0, 2, 1).reshape(-1, chi)   # M_s^dag stacked
     x = np.eye(chi, dtype=mats.dtype) / chi
     eta = 1.0
     for _ in range(max_iter):
-        y = stacked @ x                          # (s*chi, chi)
-        y = y.reshape(-1, chi, chi)
-        y = np.einsum("sab,scb->ac", y, mats.conj())
+        y = (stacked @ x).reshape(-1, chi, chi)  # M_s X
+        y = y.transpose(1, 0, 2).reshape(chi, -1) @ adj
         y = 0.5 * (y + y.conj().T)
         eta = float(np.trace(y).real)
         if eta <= 0.0:
@@ -355,10 +355,16 @@ def reorthogonalize(state: MpdoState, chi=None, cutoff=1e-14, tol=1e-10,
 
     Fuses the cell across the outer (B,A) bond, gauges that bond from the
     left/right transfer fixed points, then re-splits the inner bond with an
-    SVD. Raises DegenerateTransferError if power iteration stalls.
+    SVD. The gauge Q C P of the fused cell C (chi, 16, chi) is two matmuls,
+    (Q @ C.reshape(chi, 16 chi)).reshape(16 chi', chi) @ P, at O(16 chi^3);
+    each power-iteration step of a fixed point is likewise two matmuls.
+    Raises ValueError if ``max_iter`` < 1 and DegenerateTransferError if
+    power iteration stalls.
     """
     if state.cell != "infinite":
         raise ValueError("reorthogonalize applies to infinite states")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     chi = max(state.max_bond(), 1) if chi is None else chi
     ga, gb = state.tensors
     lam_ab, lam_ba = state.lambdas
@@ -385,7 +391,7 @@ def reorthogonalize(state: MpdoState, chi=None, cutoff=1e-14, tol=1e-10,
     x_pinv = (1.0 / xs)[:, None] * xu.conj().T
     p_mat = y_pinv @ u
     q_mat = vh @ x_pinv
-    cell_new = np.einsum("ab,bsc,cd->asd", q_mat, cell, p_mat)
+    cell_new = (q_mat @ cell.reshape(chi_ba, -1)).reshape(-1, chi_ba) @ p_mat
 
     # re-split the fused cell at the inner bond
     keep = len(lam_ba_new)
@@ -416,14 +422,18 @@ def _trace_transfer(state: MpdoState):
     return (ma * state.lambdas[0][None, :]) @ (mb * state.lambdas[1][None, :])
 
 
-def itebd_renormalize(state: MpdoState):
-    """Rescale the cell so the per-cell trace transfer eigenvalue is one."""
-    tm = _trace_transfer(state)
-    evals = np.linalg.eigvals(tm)
-    eta = evals[np.argmax(np.abs(evals))]
-    eta = float(np.real(eta))
+def itebd_trace_eigenvalue(state: MpdoState):
+    """Leading eigenvalue of the cell's trace transfer matrix: Tr rho per cell."""
+    evals = np.linalg.eigvals(_trace_transfer(state))
+    eta = float(np.real(evals[np.argmax(np.abs(evals))]))
     if eta <= 0.0:
         raise FloatingPointError(f"infinite-chain trace eigenvalue {eta}")
+    return eta
+
+
+def itebd_renormalize(state: MpdoState):
+    """Rescale the cell so the per-cell trace transfer eigenvalue is one."""
+    eta = itebd_trace_eigenvalue(state)
     state.tensors[0] = state.tensors[0] / np.sqrt(eta)
     state.tensors[1] = state.tensors[1] / np.sqrt(eta)
     return eta

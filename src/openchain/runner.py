@@ -244,18 +244,29 @@ def _run_itebd(cfg: RunConfig, outdir):
         s_ab = mpdo.operator_entanglement(state, 0)
         s_ba = mpdo.operator_entanglement(state, 1)
         rows.append([t, s_ab, 0.5 * (s_ab + s_ba), za, zb, eta])
-        return eta
 
-    max_drift = abs(refresh_and_record(0.0) - 1.0)
+    refresh_and_record(0.0)
+    # Drift is the trace per cell that one step loses: the cell's trace
+    # eigenvalue, times the scale the step moved into log_scale, over the
+    # eigenvalue the step started from. It is read before reorthogonalize,
+    # which normalizes the lambdas and so rescales the cell untracked.
+    eta_in = 1.0
+    max_drift = 0.0
     max_tw = 0.0
     for step in range(1, n_steps + 1):
+        log_scale = state.log_scale
         max_tw = max(max_tw, mpdo.itebd_trotter4_step(state, gates, cfg.chi, cfg.cutoff))
+        eta_out = mpdo.itebd_trace_eigenvalue(state)
+        kept = eta_out * float(np.exp(state.log_scale - log_scale)) / eta_in
+        max_drift = max(max_drift, abs(kept - 1.0))
+        eta_in = 1.0
         if step % rec_every == 0:
-            eta = refresh_and_record(step * cfg.dt)
-            max_drift = max(max_drift, abs(eta - 1.0))
+            refresh_and_record(step * cfg.dt)
         elif step % cfg.reorth_every == 0:
             mpdo.reorthogonalize(state, cfg.chi, cfg.cutoff)
             mpdo.itebd_renormalize(state)
+        else:
+            eta_in = eta_out
     path = outdir / "trace.csv"
     traces.write_csv(path, cols, rows)
     extras = {"max_step_trace_drift": max_drift, "max_trunc_weight": max_tw,

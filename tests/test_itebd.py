@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from openchain import mpdo
-from openchain.models import ModelParams, pauli_basis
+from openchain import mpdo, runner
+from openchain.models import ModelParams, linearized_basis, pauli_basis
 
 PAULI = pauli_basis()
 
@@ -66,10 +66,11 @@ def test_identity_gates_leave_cell_invariant():
     assert zb2 == pytest.approx(zb, abs=1e-9)
 
 
-def test_reorthogonalization_restores_canonical_form():
+def check_reorthogonalization(basis):
+    """Evolve a gain/loss cell, reorthogonalize it; returns (<sz_A>, <sz_B>)."""
     p = ModelParams(gamma_plus=0.4, gamma_minus=0.4)
-    st = mpdo.neel_mpdo(None, PAULI)
-    gates = mpdo.build_trotter4_gates(p, PAULI, 0.1)
+    st = mpdo.neel_mpdo(None, basis)
+    gates = mpdo.build_trotter4_gates(p, basis, 0.1)
     for _ in range(10):
         mpdo.itebd_trotter4_step(st, gates, 32, 1e-12)
     za_before, zb_before = mpdo.itebd_sz(st)
@@ -79,6 +80,56 @@ def test_reorthogonalization_restores_canonical_form():
     za, zb = mpdo.itebd_sz(st)  # gauge change must not move observables
     assert za == pytest.approx(za_before, abs=1e-8)
     assert zb == pytest.approx(zb_before, abs=1e-8)
+    return za, zb
+
+
+def test_reorthogonalization_restores_canonical_form():
+    check_reorthogonalization(PAULI)
+
+
+def test_reorthogonalization_in_linearized_basis_matches_pauli():
+    za, zb = check_reorthogonalization(linearized_basis())
+    za_p, zb_p = check_reorthogonalization(PAULI)
+    assert za == pytest.approx(za_p, abs=1e-8)
+    assert zb == pytest.approx(zb_p, abs=1e-8)
+
+
+def test_reorthogonalize_rejects_max_iter_below_one():
+    st = run_itebd(ModelParams(gamma_z=0.5), 0.25, 0.25, chi=16)
+    for max_iter in (0, -1):
+        with pytest.raises(ValueError, match="max_iter"):
+            mpdo.reorthogonalize(st, 16, 1e-12, max_iter=max_iter)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_transfer_fixed_point_matches_dense_oracle(dtype):
+    chi, s = 6, 16
+    rng = np.random.default_rng(7)
+    mats = rng.normal(size=(s, chi, chi))
+    if dtype is complex:
+        mats = mats + 1j * rng.normal(size=(s, chi, chi))
+    x, eta = mpdo._transfer_fixed_point(mats, 1e-13, 4000)
+    # vec_row(M X M^dag) = (M kron conj(M)) vec_row(X)
+    dense = sum(np.kron(m, m.conj()) for m in mats)
+    evals, evecs = np.linalg.eig(dense)
+    k = int(np.argmax(np.abs(evals)))
+    v = evecs[:, k].reshape(chi, chi)
+    v = v / np.trace(v)
+    assert eta == pytest.approx(evals[k].real, rel=1e-9)
+    assert abs(evals[k].imag) <= 1e-9 * abs(evals[k])
+    np.testing.assert_allclose(x / np.trace(x), v, atol=1e-9)
+
+
+@pytest.mark.parametrize("basis", ["pauli", "linearized"])
+def test_itebd_step_trace_drift_is_small(tmp_path, basis):
+    # step 1 is neither reorthogonalized nor recorded, step 2 is both
+    cfg = runner.config_from_dict({
+        "engine": "itebd", "n_sites": "infinite", "basis": basis,
+        "gamma_z": 1.0, "dt": 0.25, "dt_obs": 0.5, "t_max": 0.5,
+        "reorth_every": 10, "chi": 64, "cutoff": 1e-10,
+        "output_dir": str(tmp_path)})
+    drift = runner.run(cfg).extras["max_step_trace_drift"]
+    assert 0.0 <= drift <= 1e-7
 
 
 def test_staggered_magnetization_matches_finite_bulk():
