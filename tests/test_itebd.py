@@ -95,7 +95,7 @@ def test_reorthogonalization_in_linearized_basis_matches_pauli():
 
 
 def test_reorthogonalize_rejects_max_iter_below_one():
-    st = run_itebd(ModelParams(gamma_z=0.5), 0.25, 0.25, chi=16)
+    st = mpdo.neel_mpdo(None, PAULI)
     for max_iter in (0, -1):
         with pytest.raises(ValueError, match="max_iter"):
             mpdo.reorthogonalize(st, 16, 1e-12, max_iter=max_iter)
