@@ -59,6 +59,18 @@ class OperatorBasis:
     elements: np.ndarray = field(repr=False)  # (4, 2, 2) complex
     flavor: str = "pauli"
 
+    def parities(self):
+        """Z2 parity of each element under rho -> (sz) rho (sz), or None.
+
+        Diagonal elements are even (0) and off-diagonal ones odd (1); both
+        shipped bases give [0, 1, 1, 0]. None if some element is neither.
+        """
+        diag = np.abs(self.elements[:, [0, 1], [0, 1]]).max(axis=1) > 0.0
+        off = np.abs(self.elements[:, [0, 1], [1, 0]]).max(axis=1) > 0.0
+        if np.any(diag & off):
+            return None
+        return off.astype(np.int64)
+
     def orthonormality_defect(self):
         g = np.array([[np.trace(a @ b.conj().T) for b in self.elements]
                       for a in self.elements])

@@ -10,6 +10,19 @@ Finite chains use gate sweeps over all bonds; the translation-invariant
 infinite chain keeps a two-site unit cell with tensors (A, B) and bonds
 lambdas[0] = (A,B) inside the cell, lambdas[1] = (B,A) between cells, and is
 periodically re-orthogonalized from the transfer-operator fixed points.
+
+Charge labels: the XXZ Hamiltonian and the jumps sigma+, sigma-, sigma-z all
+commute with the Z2 map rho -> (prod sz) rho (prod sz), under which every
+basis element has a definite parity (``OperatorBasis.parities``: I, Z and the
+diagonal matrix units even, X, Y and the off-diagonal units odd). A finite
+MPDO may therefore carry ``charges``: one int array per bond, aligned with
+``lambdas``, holding the Z2 parity of the part of the chain left of each bond
+index (outer bonds count as 0). Every gate layer, canonicalization and
+single gate keeps them up to date, and the bond kernel then SVDs the two
+charge blocks of each theta separately. ``neel_mpdo`` and ``product_mpdo``
+label their bonds when every site has a definite parity and the total is
+even; otherwise, and for the infinite cell, ``mpdo_from_dense`` and
+``load_checkpoint``, ``charges`` is None and the dense kernel runs.
 """
 
 import json
@@ -20,7 +33,7 @@ import numpy as np
 from . import kernels
 from .models import ModelParams, OperatorBasis, SZ, build_super_gates, \
     linearized_basis, pauli_basis
-from .tensors import truncated_svd
+from .tensors import _keep_count, truncated_svd
 
 __all__ = [
     "MpdoState", "DegenerateTransferError",
@@ -44,6 +57,7 @@ class MpdoState:
     basis: OperatorBasis = field(repr=False, default=None)
     log_scale: float = 0.0
     cell: str = "finite"                # "finite" | "infinite"
+    charges: list = field(repr=False, default=None)   # per-bond Z2 labels or None
 
     @property
     def n_sites(self):
@@ -59,7 +73,15 @@ class MpdoState:
         return MpdoState(
             tensors=[t.copy() for t in self.tensors],
             lambdas=[l.copy() for l in self.lambdas],
-            basis=self.basis, log_scale=self.log_scale, cell=self.cell)
+            basis=self.basis, log_scale=self.log_scale, cell=self.cell,
+            charges=None if self.charges is None else
+            [q.copy() for q in self.charges])
+
+    def _labels(self):
+        """(charges, site parity) for the bond kernel; (None, None) if unlabelled."""
+        if self.charges is None:
+            return None, None
+        return self.charges, self.basis.parities()
 
 
 def _coeffs(rho2, basis):
@@ -72,11 +94,34 @@ def _coeffs(rho2, basis):
     return c
 
 
+def _product_charges(coeffs, basis):
+    """Bond labels of a product state, or None without definite even parity."""
+    parity = basis.parities()
+    if parity is None:
+        return None
+    site_q = []
+    for c in coeffs:
+        odd = set(parity[np.abs(c) > 0.0].tolist())
+        if len(odd) != 1:
+            return None
+        site_q.append(odd.pop())
+    left = np.cumsum(site_q) % 2
+    if left[-1] != 0:
+        return None
+    return [np.array([q], dtype=np.int64) for q in left[:-1]]
+
+
 def product_mpdo(site_rhos, basis):
-    """Bond-dimension-1 MPDO from a list of single-site density matrices."""
-    tensors = [_coeffs(r, basis).reshape(1, 4, 1) for r in site_rhos]
+    """Bond-dimension-1 MPDO from a list of single-site density matrices.
+
+    The bonds are charge-labelled when every site has a definite Z2 parity
+    and the total parity is even.
+    """
+    coeffs = [_coeffs(r, basis) for r in site_rhos]
+    tensors = [c.reshape(1, 4, 1) for c in coeffs]
     lambdas = [np.ones(1) for _ in range(len(tensors) - 1)]
-    return MpdoState(tensors=tensors, lambdas=lambdas, basis=basis)
+    return MpdoState(tensors=tensors, lambdas=lambdas, basis=basis,
+                     charges=_product_charges(coeffs, basis))
 
 
 _UP = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -90,6 +135,7 @@ def neel_mpdo(n, basis=None):
         state = product_mpdo([_UP, _DOWN], basis)
         state.cell = "infinite"
         state.lambdas = [np.ones(1), np.ones(1)]
+        state.charges = None
         return state
     if n < 2 or n % 2 != 0:
         raise ValueError(f"Neel state needs an even number of sites, got {n}")
@@ -149,14 +195,16 @@ def apply_super_gate(state: MpdoState, gate, bond, chi, cutoff):
     """Two-site superoperator gate at ``bond``; returns the truncation weight."""
     mat = gate.matrix if hasattr(gate, "matrix") else gate
     ln, tw = kernels.apply_bond_gate(state.tensors, state.lambdas, mat, bond,
-                                     chi, cutoff)
+                                     chi, cutoff, *state._labels())
     state.log_scale += ln
     return tw
 
 
 def canonicalize(state: MpdoState, chi, cutoff):
+    charges, site_parity = state._labels()
     state.log_scale += kernels.canonicalize_chain(
-        state.tensors, state.lambdas, chi, cutoff)
+        state.tensors, state.lambdas, chi, cutoff, charges=charges,
+        site_parity=site_parity)
 
 
 def operator_entanglement(state: MpdoState, bond):
@@ -289,7 +337,8 @@ def _run_trotter4(state: MpdoState, gates, n_gates, chi, cutoff):
                 f"expected {n_gates}")
         tables[frac] = list(table) * (n_bonds // n_gates)
     layers = [(parity, tables[frac]) for parity, frac in TROTTER4_LAYERS]
-    ln, tw = kernels.apply_layers(state.tensors, state.lambdas, layers, chi, cutoff)
+    ln, tw = kernels.apply_layers(state.tensors, state.lambdas, layers, chi,
+                                  cutoff, *state._labels())
     state.log_scale += ln
     return tw
 
@@ -383,7 +432,7 @@ def reorthogonalize(state: MpdoState, chi=None, cutoff=1e-14, tol=1e-10,
     y_f, yu, ys = _herm_sqrt(v_l)                 # v_l = y^dag y with y = (y_f)^dag
     y = y_f.conj().T
     u, s, vh = np.linalg.svd(y @ (lam_ba[:, None] * x_f))
-    keep = max(1, min(int(np.sum(s >= cutoff * s[0])), chi)) if s[0] > 0 else 1
+    keep = _keep_count(s, chi, cutoff)
     u, s, vh = u[:, :keep], s[:keep], vh[:keep, :]
     lam_ba_new = s / float(np.linalg.norm(s))
     # gauge matrices: lambda_old = P lambda_new Q with P = y^+ u, Q = vh x^+

@@ -94,8 +94,14 @@ def truncated_svd(m, chi_max, cutoff=DEFAULT_CUTOFF):
 
 
 def _keep_count(s, chi_max, cutoff):
-    """Number of singular values retained by the cap-and-relative-cutoff rule."""
+    """The one truncation rule: how many leading values of ``s`` to keep.
+
+    ``s`` is sorted descending. Counts the leading s >= cutoff * s[0], caps
+    the count at ``chi_max`` and keeps at least one (exactly one if
+    s[0] <= 0). The bond kernel, truncated_svd and the infinite cell's
+    re-orthogonalization all truncate with it.
+    """
     if s[0] <= 0.0:
         return 1
-    keep = int(np.searchsorted(-s, -cutoff * s[0], side="right"))
+    keep = int((-s).searchsorted(-cutoff * s[0], side="right"))
     return max(1, min(keep, chi_max, len(s)))

@@ -60,7 +60,7 @@ def test_bond_update_is_exact_without_truncation():
     rng = np.random.default_rng(11)
     lam_l, gl, lam_c, gr, lam_r = random_vidal_bond(rng, 4, 2, np.complex128)
     theta_before = kernels._assemble_theta(lam_l, gl, lam_c, gr, lam_r)
-    ngl, nlam, ngr, kept, tw = kernels.bond_update_nogate(
+    ngl, nlam, ngr, kept, tw, _ = kernels.bond_update_nogate(
         lam_l, gl, lam_c, gr, lam_r, 16, 0.0)
     theta_after = kept * kernels._assemble_theta(lam_l, ngl, nlam, ngr, lam_r)
     assert tw <= 1e-13
@@ -78,7 +78,7 @@ def test_sweep_order_is_exact_reversal():
 def test_truncation_cap_and_cutoff():
     rng = np.random.default_rng(13)
     lam_l, gl, lam_c, gr, lam_r = random_vidal_bond(rng, 6, 2, np.float64)
-    _, lam, _, _, tw = kernels.bond_update_nogate(lam_l, gl, lam_c, gr, lam_r, 3, 0.0)
+    _, lam, _, _, tw, _ = kernels.bond_update_nogate(lam_l, gl, lam_c, gr, lam_r, 3, 0.0)
     assert len(lam) <= 3
     assert tw > 0.0
     assert abs(np.linalg.norm(lam) - 1.0) <= 1e-12

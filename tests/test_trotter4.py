@@ -36,7 +36,7 @@ def unfused_cell_step(st, tables, chi, cutoff):
         for bond in ((1, 0) if transposed else (0, 1)):
             outer = st.lambdas[1 - bond]
             left, right = (0, 1) if bond == 0 else (1, 0)
-            gl, lam, gr, kept, tw = kernels.bond_update(
+            gl, lam, gr, kept, tw, _ = kernels.bond_update(
                 outer, st.tensors[left], st.lambdas[bond], st.tensors[right],
                 outer, tables[frac][0], chi, cutoff)
             st.tensors[left], st.tensors[right], st.lambdas[bond] = gl, gr, lam
