@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
-    "two_spin_entropy", "plateau_estimate", "plateau_terms", "PlateauTerms",
+    "two_spin_entropy", "plateau_terms", "PlateauTerms",
     "jump_time_pdf", "FitResult", "fit_power_law", "fit_log_growth",
 ]
 
@@ -55,11 +55,6 @@ def plateau_terms(gamma, j=1.0) -> PlateauTerms:
     four_spin = j2 / (32.0 * g2)
     return PlateauTerms(two_site=float(two_site), four_spin=float(four_spin),
                         total=float(two_site + four_spin))
-
-
-def plateau_estimate(gamma, j=1.0):
-    """Long-time trajectory-entanglement plateau for strong balanced rates."""
-    return plateau_terms(gamma, j).total
 
 
 def jump_time_pdf(t, n_sites, gamma):

@@ -2,15 +2,12 @@
 
 The two-site bond update (theta assembly, gate contraction, SVD re-split,
 guarded lambda division) dominates runtime for every engine, so it lives here
-as one kernel. Theta assembly and the gate contraction are njit-compatible:
-when numba is importable and the environment variable ``OPENCHAIN_JIT`` is
-not set to ``0``/``false``/``no``, they are jitted; otherwise the exact same
-Python/numpy source runs uncompiled. The SVD re-split, ``_split_theta``, is
-plain numpy in both lanes. ``perfbench/run.py`` measures end-to-end runs and,
+as one plain numpy kernel. ``perfbench/run.py`` measures end-to-end runs and,
 with ``--trace 1``, the time spent in each public function here; its
 per-update readings (bond dimension, call counts) come from ``bond_update``
 and ``bond_update_nogate``, which return the new lambda at index 1 and the
-new bond's charge labels last.
+new bond's charge labels last. Callers reach both through the module
+globals, which the tracer rebinds.
 
 Charge labels (Singh, Pfeifer & Vidal, PRB 83, 115125 (2011), with dense
 tensors and integer labels): a chain may carry ``charges``, one int array per
@@ -37,8 +34,6 @@ transposed sweep is the reverse, so it is the exact reverse-ordered product of
 the normal one.
 """
 
-import os
-
 import numpy as np
 
 from .tensors import _keep_count
@@ -46,10 +41,11 @@ from .tensors import _keep_count
 __all__ = [
     "JIT_ENABLED",
     "LAMBDA_FLOOR",
-    "backend_name",
     "bond_update",
     "bond_update_nogate",
+    "apply_bond_gate",
     "apply_layers",
+    "sweep_bond_order",
     "sweep_chain",
     "canonicalize_chain",
     "schmidt_entropy",
@@ -59,17 +55,8 @@ __all__ = [
 # the corresponding rows/columns are zeroed instead.
 LAMBDA_FLOOR = 1e-10
 
-_env = os.environ.get("OPENCHAIN_JIT", "1").strip().lower()
-JIT_ENABLED = _env not in ("0", "false", "no", "off")
-if JIT_ENABLED:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is optional (the "jit" extra)
-        JIT_ENABLED = False
-
-
-def backend_name():
-    return "numba" if JIT_ENABLED else "numpy"
+# Read by perfbench/measure.py for its environment stamp; there is no jit lane.
+JIT_ENABLED = False
 
 
 def _split_theta(theta, dl, d, dr, lam_l, lam_r, chi_max, cutoff, labels=None):
@@ -154,8 +141,9 @@ def _assemble_theta(lam_l, gam_l, lam_c, gam_r, lam_r):
     return m1 @ m2
 
 
-def _gated_theta(lam_l, gam_l, lam_c, gam_r, lam_r, gate):
-    """The assembled theta with ``gate`` contracted over both physical indices."""
+def bond_update(lam_l, gam_l, lam_c, gam_r, lam_r, gate, chi_max, cutoff,
+                labels=None):
+    """Gated two-site update: returns (gam_l, lam, gam_r, kept, tw, q_new)."""
     dl, d, _ = gam_l.shape
     dr = gam_r.shape[2]
     theta = _assemble_theta(lam_l, gam_l, lam_c, gam_r, lam_r)
@@ -164,30 +152,18 @@ def _gated_theta(lam_l, gam_l, lam_c, gam_r, lam_r, gate):
     th = np.ascontiguousarray(th.transpose(1, 2, 0, 3)).reshape(d * d, dl * dr)
     th = gate @ th
     th = th.reshape(d, d, dl, dr)
-    return np.ascontiguousarray(th.transpose(2, 0, 1, 3)).reshape(dl * d, d * dr)
+    theta = np.ascontiguousarray(th.transpose(2, 0, 1, 3)).reshape(dl * d, d * dr)
+    return _split_theta(theta, dl, d, dr, lam_l, lam_r, chi_max, cutoff, labels)
 
 
-def _bond_update_impl(lam_l, gam_l, lam_c, gam_r, lam_r, gate, chi_max, cutoff,
-                      labels=None):
-    dl, d, _ = gam_l.shape
-    theta = _gated_theta(lam_l, gam_l, lam_c, gam_r, lam_r, gate)
-    return _split_theta(theta, dl, d, gam_r.shape[2], lam_l, lam_r, chi_max,
-                        cutoff, labels)
-
-
-def _bond_update_nogate_impl(lam_l, gam_l, lam_c, gam_r, lam_r, chi_max, cutoff,
-                             labels=None):
+def bond_update_nogate(lam_l, gam_l, lam_c, gam_r, lam_r, chi_max, cutoff,
+                       labels=None):
+    """Gate-free two-site re-split (canonical-form restores); as bond_update."""
     dl, d, _ = gam_l.shape
     theta = _assemble_theta(lam_l, gam_l, lam_c, gam_r, lam_r)
     return _split_theta(theta, dl, d, gam_r.shape[2], lam_l, lam_r, chi_max,
                         cutoff, labels)
 
-
-if JIT_ENABLED:
-    _assemble_theta = njit(cache=True)(_assemble_theta)
-    _gated_theta = njit(cache=True)(_gated_theta)
-bond_update = _bond_update_impl
-bond_update_nogate = _bond_update_nogate_impl
 
 _ONE = np.ones(1, dtype=np.float64)
 _ZERO_CHARGE = np.zeros(1, dtype=np.int64)

@@ -12,7 +12,7 @@ from scipy.linalg import expm
 
 __all__ = [
     "SX", "SY", "SZ", "SP", "SM", "ID2",
-    "ModelParams", "OperatorBasis", "UnitaryGate", "SuperGate", "JumpOp",
+    "ModelParams", "OperatorBasis", "JumpOp",
     "pauli_basis", "linearized_basis",
     "two_site_hamiltonian", "build_xxz_gate", "build_jump_ops",
     "site_dissipator_matrix", "two_site_generator", "two_site_superop",
@@ -100,15 +100,9 @@ def two_site_hamiltonian(p: ModelParams):
     return h
 
 
-@dataclass(frozen=True)
-class UnitaryGate:
-    matrix: np.ndarray = field(repr=False)  # 4x4, exp(-i h2 dt)
-    dt: float = 0.0
-
-
-def build_xxz_gate(p: ModelParams, dt: float) -> UnitaryGate:
-    """Two-site propagator exp(-i h2 dt); dt may be negative."""
-    return UnitaryGate(matrix=expm(-1j * two_site_hamiltonian(p) * dt), dt=dt)
+def build_xxz_gate(p: ModelParams, dt: float):
+    """Two-site propagator exp(-i h2 dt) as a 4x4 array; dt may be negative."""
+    return expm(-1j * two_site_hamiltonian(p) * dt)
 
 
 @dataclass(frozen=True)
@@ -119,10 +113,12 @@ class JumpOp:
     rate: float = 0.0
 
 
-def build_jump_ops(p: ModelParams):
-    """Per-site jump operators for every nonzero rate, site-major order."""
-    if p.n_sites is None:
-        raise ValueError("jump operators need a finite chain")
+def _jump_channels(p: ModelParams):
+    """(channel, sqrt(rate) * sigma, rate) for every nonzero rate, order (+, -, z).
+
+    The one jump-channel table: the MPS jump operators, the MPDO site
+    dissipator and the dense oracle all build on it.
+    """
     channels = []
     if p.gamma_plus > 0:
         channels.append(("+", np.sqrt(p.gamma_plus) * SP, p.gamma_plus))
@@ -130,19 +126,15 @@ def build_jump_ops(p: ModelParams):
         channels.append(("-", np.sqrt(p.gamma_minus) * SM, p.gamma_minus))
     if p.gamma_z > 0:
         channels.append(("z", np.sqrt(p.gamma_z) * SZ, p.gamma_z))
+    return channels
+
+
+def build_jump_ops(p: ModelParams):
+    """Per-site jump operators for every nonzero rate, site-major order."""
+    if p.n_sites is None:
+        raise ValueError("jump operators need a finite chain")
     return [JumpOp(site=i, channel=ch, matrix=m, rate=r)
-            for i in range(p.n_sites) for (ch, m, r) in channels]
-
-
-def _jump_matrices(p: ModelParams):
-    ms = []
-    if p.gamma_plus > 0:
-        ms.append(np.sqrt(p.gamma_plus) * SP)
-    if p.gamma_minus > 0:
-        ms.append(np.sqrt(p.gamma_minus) * SM)
-    if p.gamma_z > 0:
-        ms.append(np.sqrt(p.gamma_z) * SZ)
-    return ms
+            for i in range(p.n_sites) for (ch, m, r) in _jump_channels(p)]
 
 
 def _dissipator(ls, x):
@@ -155,7 +147,7 @@ def _dissipator(ls, x):
 
 def site_dissipator_matrix(p: ModelParams, basis: OperatorBasis):
     """4x4 expansion of the single-site Lindblad dissipator in the basis."""
-    ls = _jump_matrices(p)
+    ls = [m for _, m, _ in _jump_channels(p)]
     els = basis.elements
     mat = np.zeros((4, 4), dtype=complex)
     for k in range(4):
@@ -193,22 +185,19 @@ def two_site_generator(p: ModelParams, basis: OperatorBasis,
     return gen
 
 
-@dataclass(frozen=True)
-class SuperGate:
-    matrix: np.ndarray = field(repr=False)  # 16x16; real in the pauli flavor
-    dt_fraction: float = 0.0
-
-
 def build_super_gate(p: ModelParams, basis: OperatorBasis, dt_fraction: float,
-                     w_left=0.5, w_right=0.5) -> SuperGate:
-    """exp(generator * dt_fraction) on the fused two-site operator index."""
+                     w_left=0.5, w_right=0.5):
+    """exp(generator * dt_fraction) on the fused two-site operator index.
+
+    Returns the 16x16 array, real in the pauli flavor.
+    """
     gate = expm(two_site_generator(p, basis, w_left, w_right) * dt_fraction)
     if basis.flavor == "pauli":
         im = float(np.max(np.abs(gate.imag)))
         if im > 1e-12:
             raise ValueError(f"pauli-flavor super gate has imaginary part {im}")
         gate = np.ascontiguousarray(gate.real)
-    return SuperGate(matrix=gate, dt_fraction=dt_fraction)
+    return gate
 
 
 def bond_weights(n_sites):

@@ -21,8 +21,11 @@ index (outer bonds count as 0). Every gate layer, canonicalization and
 single gate keeps them up to date, and the bond kernel then SVDs the two
 charge blocks of each theta separately. ``neel_mpdo`` and ``product_mpdo``
 label their bonds when every site has a definite parity and the total is
-even; otherwise, and for the infinite cell, ``mpdo_from_dense`` and
-``load_checkpoint``, ``charges`` is None and the dense kernel runs.
+even; otherwise, and for the infinite cell and ``mpdo_from_dense``,
+``charges`` is None and the dense kernel runs. Checkpoints keep the labels:
+``save_checkpoint`` stores one ``charge_<k>`` array per bond of a labelled
+chain and ``load_checkpoint`` restores them (a file without them loads
+unlabelled).
 """
 
 import json
@@ -41,7 +44,8 @@ __all__ = [
     "apply_super_gate", "canonicalize", "operator_entanglement", "entropies",
     "trace", "local_expectation", "all_sz", "renormalize_trace",
     "TROTTER4_SEQUENCE", "TROTTER4_LAYERS", "build_trotter4_gates", "trotter4_step",
-    "itebd_trotter4_step", "reorthogonalize", "itebd_sz", "itebd_renormalize",
+    "itebd_trotter4_step", "reorthogonalize", "itebd_trace_eigenvalue",
+    "itebd_sz", "itebd_renormalize",
     "save_checkpoint", "load_checkpoint",
 ]
 
@@ -193,8 +197,7 @@ def mpdo_from_dense(rho, basis, chi=256, cutoff=1e-14):
 
 def apply_super_gate(state: MpdoState, gate, bond, chi, cutoff):
     """Two-site superoperator gate at ``bond``; returns the truncation weight."""
-    mat = gate.matrix if hasattr(gate, "matrix") else gate
-    ln, tw = kernels.apply_bond_gate(state.tensors, state.lambdas, mat, bond,
+    ln, tw = kernels.apply_bond_gate(state.tensors, state.lambdas, gate, bond,
                                      chi, cutoff, *state._labels())
     state.log_scale += ln
     return tw
@@ -321,7 +324,7 @@ _TROTTER4_FRACTIONS = sorted({frac for _, frac in TROTTER4_LAYERS})
 
 def build_trotter4_gates(p: ModelParams, basis, dt):
     """Per-bond gate tables for the step fractions used by TROTTER4_LAYERS."""
-    return {frac: [g.matrix for g in build_super_gates(p, basis, frac * dt / 12.0)]
+    return {frac: build_super_gates(p, basis, frac * dt / 12.0)
             for frac in _TROTTER4_FRACTIONS}
 
 
@@ -512,7 +515,10 @@ def itebd_sz(state: MpdoState):
 # ----------------------------------------------------------------------------
 
 def save_checkpoint(path, state: MpdoState, params: ModelParams = None, t=None):
-    """Self-describing .npz: tensors, lambdas, basis flavor, params, time."""
+    """Self-describing .npz: tensors, lambdas, basis flavor, params, time.
+
+    A labelled chain also stores its charges, one ``charge_<k>`` per bond.
+    """
     meta = {
         "format": "openchain-mpdo-checkpoint",
         "version": 1,
@@ -532,6 +538,8 @@ def save_checkpoint(path, state: MpdoState, params: ModelParams = None, t=None):
         arrays[f"tensor_{k}"] = tsr
     for k, lam in enumerate(state.lambdas):
         arrays[f"lambda_{k}"] = lam
+    for k, q in enumerate(state.charges or ()):
+        arrays[f"charge_{k}"] = q
     np.savez(path, **arrays)
 
 
@@ -542,7 +550,10 @@ def load_checkpoint(path):
         tensors = [data[f"tensor_{k}"] for k in range(meta["n_sites"])]
         n_lams = meta["n_sites"] - 1 if meta["cell"] == "finite" else 2
         lambdas = [data[f"lambda_{k}"] for k in range(n_lams)]
+        charges = ([data[f"charge_{k}"] for k in range(n_lams)]
+                   if "charge_0" in data.files else None)
     basis = pauli_basis() if meta["basis"] == "pauli" else linearized_basis()
     state = MpdoState(tensors=tensors, lambdas=lambdas, basis=basis,
-                      log_scale=meta["log_scale"], cell=meta["cell"])
+                      log_scale=meta["log_scale"], cell=meta["cell"],
+                      charges=charges)
     return state, meta.get("params"), meta.get("time")

@@ -2,8 +2,8 @@
 
 Gamma tensors have legs (left bond, physical=2, right bond); the chain reads
 gamma[0] . diag(lambda[0]) . gamma[1] . ... . gamma[N-1] with boundary bonds
-of dimension one. All gate application goes through the shared kernels, so
-the numba/numpy lane choice applies here too.
+of dimension one. All gate application goes through the shared bond kernel
+in ``kernels``.
 """
 
 from dataclasses import dataclass, field
@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .models import UnitaryGate
 
 __all__ = [
     "MpsState", "neel_mps", "product_mps",
@@ -65,12 +64,6 @@ def neel_mps(n):
     return product_mps([up if i % 2 == 0 else down for i in range(n)])
 
 
-def _gate_matrix(gate):
-    if isinstance(gate, UnitaryGate):
-        return gate.matrix
-    return gate
-
-
 def apply_gate(state: MpsState, gate, bond, chi, cutoff):
     """Two-site gate at ``bond`` (in place); returns the truncation weight.
 
@@ -78,14 +71,14 @@ def apply_gate(state: MpsState, gate, bond, chi, cutoff):
     which keeps trajectory states normalized.
     """
     ln, tw = kernels.apply_bond_gate(
-        state.gammas, state.lambdas, _gate_matrix(gate), bond, chi, cutoff)
+        state.gammas, state.lambdas, gate, bond, chi, cutoff)
     state.norm_log += ln
     return tw
 
 
 def sweep(state: MpsState, gate, chi, cutoff, transposed=False):
     """One sweep of the same gate over all bonds; returns max truncation weight."""
-    gates = [_gate_matrix(gate)] * len(state.lambdas)
+    gates = [gate] * len(state.lambdas)
     ln, tw = kernels.sweep_chain(state.gammas, state.lambdas, gates, chi, cutoff,
                                  transposed=transposed)
     state.norm_log += ln

@@ -11,7 +11,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import expm
 
-from .models import ID2, SM, SP, SZ, ModelParams, two_site_hamiltonian
+from .models import SZ, ModelParams, _jump_channels, two_site_hamiltonian
 
 __all__ = [
     "OracleError",
@@ -53,14 +53,8 @@ def xxz_hamiltonian(p: ModelParams, n=None):
 def dense_jump_ops(p: ModelParams, n=None):
     """Dense jump operators, site-major, channel order (+, -, z)."""
     n = p.n_sites if n is None else n
-    channels = []
-    if p.gamma_plus > 0:
-        channels.append(np.sqrt(p.gamma_plus) * SP)
-    if p.gamma_minus > 0:
-        channels.append(np.sqrt(p.gamma_minus) * SM)
-    if p.gamma_z > 0:
-        channels.append(np.sqrt(p.gamma_z) * SZ)
-    return [site_operator(m, i, n) for i in range(n) for m in channels]
+    channels = _jump_channels(p)
+    return [site_operator(m, i, n) for i in range(n) for _, m, _ in channels]
 
 
 def neel_vector(n):

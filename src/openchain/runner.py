@@ -19,7 +19,7 @@ from .models import ModelParams, SZ, linearized_basis, pauli_basis
 __all__ = [
     "RunConfig", "RunResult", "ConfigError",
     "config_from_dict", "config_to_dict", "load_config", "validate_config",
-    "run", "convergence_scan", "compare_runs",
+    "resolve_output_dir", "run", "convergence_scan", "compare_runs",
 ]
 
 OUTPUT_ROOT_ENV = "OPENCHAIN_OUTPUT_ROOT"
@@ -187,11 +187,6 @@ def _grid(cfg):
     return np.arange(n_rec + 1) * cfg.dt_obs
 
 
-def _central_cuts(n_sites, width=11):
-    return tj.bond_window(n_sites, width) if n_sites - 1 >= width \
-        else [(n_sites - 2) // 2]
-
-
 def _run_mpdo(cfg: RunConfig, outdir):
     p = cfg.model_params()
     basis = cfg.operator_basis()
@@ -199,7 +194,7 @@ def _run_mpdo(cfg: RunConfig, outdir):
     gates = mpdo.build_trotter4_gates(p, basis, cfg.dt)
     n_steps = int(round(cfg.t_max / cfg.dt))
     rec_every = int(round(cfg.dt_obs / cfg.dt))
-    window = _central_cuts(cfg.n_sites)
+    window = tj.bond_window(cfg.n_sites)
     center = (cfg.n_sites - 2) // 2
     cols = traces.trace_columns(cfg.n_sites, "mpdo")
     rows = []
@@ -334,7 +329,7 @@ def _run_oracle(cfg: RunConfig, outdir):
     p = cfg.model_params()
     rho0 = oracle.neel_rho(cfg.n_sites)
     times, rhos = oracle.dense_lindblad_evolve(rho0, p, cfg.dt_obs, cfg.t_max)
-    cuts = [b + 1 for b in _central_cuts(cfg.n_sites)]
+    cuts = [b + 1 for b in tj.bond_window(cfg.n_sites)]
     center = (cfg.n_sites - 2) // 2 + 1
     cols = traces.trace_columns(cfg.n_sites, "oracle")
     rows = []

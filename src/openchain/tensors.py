@@ -1,9 +1,10 @@
-"""Dense tensor primitives: pairwise contraction and truncated SVD.
+"""Dense tensor primitives: truncated SVD and the one truncation rule.
 
 Tensors are plain numpy arrays in C (row-major) order; the shape tuple is the
-list of extents and ``ravel()`` is the documented linearization. Everything
-downstream (gate application, canonical-form maintenance, entropies) is built
-on the two operations in this module.
+list of extents and ``ravel()`` is the documented linearization. Contractions
+are plain numpy calls (``@``, ``tensordot``) where they are needed; this
+module holds no contraction primitive. ``_keep_count`` decides how many
+singular values every split keeps.
 """
 
 from dataclasses import dataclass
@@ -11,10 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "ContractionError",
     "SvdConvergenceError",
     "SvdResult",
-    "contract",
     "truncated_svd",
 ]
 
@@ -23,39 +22,12 @@ __all__ = [
 DEFAULT_CUTOFF = 1e-12
 
 
-class ContractionError(ValueError):
-    """Axis extents of a contraction pair do not match."""
-
-    def __init__(self, axis_a, axis_b, dim_a, dim_b):
-        self.axis_pair = (axis_a, axis_b)
-        super().__init__(
-            f"cannot contract axis {axis_a} (extent {dim_a}) with "
-            f"axis {axis_b} (extent {dim_b})"
-        )
-
-
 class SvdConvergenceError(RuntimeError):
     """LAPACK failed to converge; carries the matrix dims."""
 
     def __init__(self, shape):
         self.shape = tuple(shape)
         super().__init__(f"SVD did not converge for matrix of shape {self.shape}")
-
-
-def contract(a, b, pairs):
-    """Contract tensors ``a`` and ``b`` over the given (axis_of_a, axis_of_b) pairs.
-
-    Result axes are the unpaired axes of ``a`` followed by the unpaired axes
-    of ``b``, in their original order.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    axes_a = [p[0] for p in pairs]
-    axes_b = [p[1] for p in pairs]
-    for ax_a, ax_b in pairs:
-        if a.shape[ax_a] != b.shape[ax_b]:
-            raise ContractionError(ax_a, ax_b, a.shape[ax_a], b.shape[ax_b])
-    return np.tensordot(a, b, axes=(axes_a, axes_b))
 
 
 @dataclass

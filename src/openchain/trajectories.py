@@ -32,7 +32,7 @@ __all__ = [
     "TrajectoryConfig", "EntropyTrace", "EnsembleStats",
     "identity_rate", "sample_jump_time", "channel_weights",
     "select_jump_channel", "apply_jump", "run_trajectory", "run_ensemble",
-    "ensemble_stats", "bond_averaged_entropy", "bond_window",
+    "ensemble_stats", "bond_window", "build_effective_gates",
     "conditional_jump_mask", "run_dense_conditional",
 ]
 
@@ -91,7 +91,11 @@ def sample_jump_time(t_prev, r, n_sites, gamma):
 
 def channel_weights(state, jumps):
     """<L^dag L> for every channel, from single-site expectations."""
-    sz = mps.all_sz(state)
+    return _weights_from_sz(mps.all_sz(state), jumps)
+
+
+def _weights_from_sz(sz, jumps):
+    """<L^dag L> for every channel from the site magnetizations ``sz``."""
     w = np.empty(len(jumps))
     for k, j in enumerate(jumps):
         if j.channel == "+":
@@ -157,10 +161,6 @@ class EntropyTrace:
     jump_log: list = field(repr=False)               # (time, site, channel)
     n_sites: int = 0
     max_trunc_weight: float = 0.0
-
-
-def bond_averaged_entropy(trace: EntropyTrace):
-    return trace.s_bond_avg
 
 
 class _XxzGateFn:
@@ -366,16 +366,7 @@ def run_dense_conditional(cfg: TrajectoryConfig, traj_index=0):
             for bond in kernels.sweep_bond_order(n - 1, transposed):
                 psi = oracle.apply_two_site_dense(psi, gates[bond], bond, n)
         psi = psi / np.linalg.norm(psi)
-        sz = oracle.dense_sz_pure(psi)
-        w = np.empty(len(jumps))
-        for k, j in enumerate(jumps):
-            if j.channel == "+":
-                w[k] = j.rate * 0.5 * (1.0 - sz[j.site])
-            elif j.channel == "-":
-                w[k] = j.rate * 0.5 * (1.0 + sz[j.site])
-            else:
-                w[k] = j.rate
-        w = np.clip(w, 0.0, None)
+        w = _weights_from_sz(oracle.dense_sz_pure(psi), jumps)
         mask = conditional_jump_mask(w, h, rng)
         for k in np.flatnonzero(mask):
             j = jumps[k]

@@ -13,11 +13,11 @@ def test_two_spin_entropy_examples():
 
 
 def test_plateau_examples():
-    assert analytics.plateau_estimate(3.5) == pytest.approx(0.035178, abs=5e-6)
-    assert analytics.plateau_estimate(2.0) == pytest.approx(0.082502, abs=5e-6)
-    assert analytics.plateau_estimate(1e6) == pytest.approx(0.0, abs=1e-9)
+    assert analytics.plateau_terms(3.5).total == pytest.approx(0.035178, abs=5e-6)
+    assert analytics.plateau_terms(2.0).total == pytest.approx(0.082502, abs=5e-6)
+    assert analytics.plateau_terms(1e6).total == pytest.approx(0.0, abs=1e-9)
     with pytest.raises(ValueError):
-        analytics.plateau_estimate(0.0)
+        analytics.plateau_terms(0.0)
     terms = analytics.plateau_terms(2.0)
     assert terms.four_spin == pytest.approx(1.0 / 128.0)
     assert terms.total == pytest.approx(terms.two_site + terms.four_spin)
@@ -25,7 +25,7 @@ def test_plateau_examples():
 
 def test_plateau_monotone_decreasing_for_strong_rates():
     gammas = np.linspace(2.0, 12.0, 40)
-    vals = [analytics.plateau_estimate(g) for g in gammas]
+    vals = [analytics.plateau_terms(g).total for g in gammas]
     assert np.all(np.diff(vals) < 0)
 
 

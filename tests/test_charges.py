@@ -125,20 +125,39 @@ def test_labelled_run_matches_unlabelled_without_truncation(basis):
 
 
 def test_checkpoint_state_is_unlabelled_and_steps_alike(tmp_path):
+    """A checkpoint keeps the labels; the restored chain and an unlabelled
+    copy both step like the original."""
     basis = BASES[1]
     p = ModelParams(n_sites=6, **RATES)
     st = evolve(mpdo.neel_mpdo(6, basis), p, 0.2, 1, chi=64, cutoff=0.0)
     path = tmp_path / "ck.npz"
     mpdo.save_checkpoint(path, st, p, 0.2)
     loaded, _, _ = mpdo.load_checkpoint(path)
-    assert loaded.charges is None
-    for s in (st, loaded):
+    assert len(loaded.charges) == len(st.charges)
+    assert all(np.array_equal(a, b) for a, b in zip(loaded.charges, st.charges))
+    plain = unlabelled(st)
+    for s in (st, loaded, plain):
         evolve(s, p, 0.2, 1, chi=64, cutoff=0.0)
         mpdo.canonicalize(s, 64, 0.0)
-    assert st.bond_dims() == loaded.bond_dims()
-    assert np.max(np.abs(mpdo.all_sz(st) - mpdo.all_sz(loaded))) <= 1e-12
-    for a, b in zip(st.lambdas, loaded.lambdas):
-        assert np.max(np.abs(np.sort(a) - np.sort(b))) <= 1e-12
+    assert loaded.charges is not None and plain.charges is None
+    for other in (loaded, plain):
+        assert st.bond_dims() == other.bond_dims()
+        assert np.max(np.abs(mpdo.all_sz(st) - mpdo.all_sz(other))) <= 1e-12
+        for a, b in zip(st.lambdas, other.lambdas):
+            assert np.max(np.abs(np.sort(a) - np.sort(b))) <= 1e-12
+
+
+def test_checkpoint_without_labels_loads_unlabelled(tmp_path):
+    p = ModelParams(n_sites=6, **RATES)
+    st = unlabelled(evolve(mpdo.neel_mpdo(6, BASES[0]), p, 0.2, 1, chi=64,
+                           cutoff=0.0))
+    path = tmp_path / "ck.npz"
+    mpdo.save_checkpoint(path, st, p, 0.2)
+    with np.load(path) as data:
+        assert not [k for k in data.files if k.startswith("charge_")]
+    loaded, _, _ = mpdo.load_checkpoint(path)
+    assert loaded.charges is None
+    assert all(np.array_equal(a, b) for a, b in zip(loaded.tensors, st.tensors))
 
 
 def test_sector_coupling_gate_raises_on_labelled_chain_only():

@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -20,40 +16,6 @@ def random_vidal_bond(rng, chi, d, dtype):
         return g.astype(dtype)
 
     return (lam(chi), gam((chi, d, chi)), lam(chi), gam((chi, d, chi)), lam(chi))
-
-
-@pytest.mark.parametrize("d,dtype", [(2, np.complex128), (4, np.float64)])
-def test_lanes_agree(d, dtype):
-    """The jitted kernel and its plain-numpy source must match."""
-    rng = np.random.default_rng(9)
-    lam_l, gl, lam_c, gr, lam_r = random_vidal_bond(rng, 6, d, dtype)
-    gate = rng.standard_normal((d * d, d * d)).astype(dtype)
-    for fast, slow, args in [
-        (kernels.bond_update, kernels._bond_update_impl,
-         (lam_l, gl, lam_c, gr, lam_r, gate, 8, 1e-12)),
-        (kernels.bond_update_nogate, kernels._bond_update_nogate_impl,
-         (lam_l, gl, lam_c, gr, lam_r, 8, 1e-12)),
-    ]:
-        res_fast = fast(*args)
-        res_slow = slow(*args)
-        # lambdas and kept norm are gauge-free: compare directly
-        assert np.max(np.abs(res_fast[1] - res_slow[1])) <= 1e-13
-        assert abs(res_fast[3] - res_slow[3]) <= 1e-13
-        assert abs(res_fast[4] - res_slow[4]) <= 1e-13
-        # gammas are gauge-fixed by the SVD; the recombined bond is physical
-        def recombine(r):
-            t = r[0] * r[1].reshape(1, 1, -1)
-            return np.tensordot(t, r[2], axes=(2, 0))
-        assert np.max(np.abs(recombine(res_fast) - recombine(res_slow))) <= 1e-12
-
-
-def test_jit_flag_selects_numpy_lane():
-    env = dict(os.environ, OPENCHAIN_JIT="0")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from openchain import kernels; print(kernels.backend_name())"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "numpy"
 
 
 def test_bond_update_is_exact_without_truncation():

@@ -43,7 +43,7 @@ def test_params_validation():
 
 def test_xxz_gate_dt_zero_is_identity():
     g = build_xxz_gate(ModelParams(n_sites=2), 0.0)
-    assert np.max(np.abs(g.matrix - np.eye(4))) <= 1e-15
+    assert np.max(np.abs(g - np.eye(4))) <= 1e-15
 
 
 def test_two_site_spectrum_in_single_flip_sector():
@@ -55,13 +55,13 @@ def test_two_site_spectrum_in_single_flip_sector():
 
 def test_gate_semigroup():
     p = ModelParams(n_sites=2)
-    g1 = build_xxz_gate(p, 0.37).matrix
-    g2 = build_xxz_gate(p, 0.74).matrix
+    g1 = build_xxz_gate(p, 0.37)
+    g2 = build_xxz_gate(p, 0.74)
     assert np.max(np.abs(g1 @ g1 - g2)) <= 1e-12
 
 
 def test_gate_unitary_and_conserves_magnetization():
-    g = build_xxz_gate(ModelParams(delta=0.7, n_sites=2), 0.23).matrix
+    g = build_xxz_gate(ModelParams(delta=0.7, n_sites=2), 0.23)
     assert np.max(np.abs(g.conj().T @ g - np.eye(4))) <= 1e-12
     sz2 = np.kron(SZ, ID2) + np.kron(ID2, SZ)
     assert np.max(np.abs(g @ sz2 - sz2 @ g)) <= 1e-12
@@ -111,8 +111,8 @@ def test_emission_maps_identity_to_sz():
 def test_super_gate_dt_zero_identity_and_real():
     p = ModelParams(n_sites=2, gamma_plus=0.2, gamma_minus=0.2, gamma_z=0.1)
     g = build_super_gate(p, pauli_basis(), 0.0)
-    assert g.matrix.dtype == np.float64
-    assert np.max(np.abs(g.matrix - np.eye(16))) <= 1e-15
+    assert g.dtype == np.float64
+    assert np.max(np.abs(g - np.eye(16))) <= 1e-15
 
 
 def test_generator_preserves_trace():

@@ -1,63 +1,7 @@
 import numpy as np
 import pytest
 
-from openchain.tensors import ContractionError, SvdConvergenceError, \
-    contract, truncated_svd
-
-
-def loop_contract(a, b, pairs):
-    """Brute-force index-loop reference for contract()."""
-    axes_a = [p[0] for p in pairs]
-    axes_b = [p[1] for p in pairs]
-    free_a = [i for i in range(a.ndim) if i not in axes_a]
-    free_b = [i for i in range(b.ndim) if i not in axes_b]
-    out_shape = [a.shape[i] for i in free_a] + [b.shape[i] for i in free_b]
-    out = np.zeros(out_shape, dtype=np.result_type(a, b))
-    for idx_a in np.ndindex(*a.shape):
-        for idx_b in np.ndindex(*b.shape):
-            if any(idx_a[pa] != idx_b[pb] for pa, pb in pairs):
-                continue
-            pos = tuple(idx_a[i] for i in free_a) + tuple(idx_b[i] for i in free_b)
-            out[pos] += a[idx_a] * b[idx_b]
-    return out
-
-
-def test_identity_contraction():
-    v = np.array([1.0, 2.0])
-    assert np.allclose(contract(np.eye(2), v, [(1, 0)]), v)
-
-
-def test_matrix_product():
-    a = np.diag([2.0, 3.0])
-    b = np.diag([5.0, 7.0])
-    assert np.allclose(contract(a, b, [(1, 0)]), np.diag([10.0, 21.0]))
-
-
-def test_contract_matches_loop_oracle():
-    rng = np.random.default_rng(42)
-    a = rng.standard_normal((2, 3, 2)) + 1j * rng.standard_normal((2, 3, 2))
-    b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    got = contract(a, b, [(2, 0)])
-    assert np.max(np.abs(got - loop_contract(a, b, [(2, 0)]))) <= 1e-12
-    got2 = contract(a, b, [(0, 1), (2, 0)])
-    assert np.max(np.abs(got2 - loop_contract(a, b, [(0, 1), (2, 0)]))) <= 1e-12
-
-
-def test_contract_dimension_mismatch_names_axes():
-    a = np.zeros((2, 3))
-    b = np.zeros((4, 2))
-    with pytest.raises(ContractionError) as exc:
-        contract(a, b, [(1, 0)])
-    assert exc.value.axis_pair == (1, 0)
-    assert "extent 3" in str(exc.value) and "extent 4" in str(exc.value)
-
-
-def test_contract_bilinear():
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((3, 4))
-    b = rng.standard_normal((4, 2))
-    lhs = contract(2.5 * a, b, [(1, 0)])
-    assert np.max(np.abs(lhs - 2.5 * contract(a, b, [(1, 0)]))) <= 1e-12
+from openchain.tensors import SvdConvergenceError, truncated_svd
 
 
 def test_svd_diag_truncation():

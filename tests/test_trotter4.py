@@ -13,7 +13,7 @@ RATES = dict(gamma_plus=0.3, gamma_minus=0.5, gamma_z=0.2)
 
 def sweep_tables(p, basis, dt):
     """Per-bond tables for the two step sizes of TROTTER4_SEQUENCE."""
-    return {frac: [g.matrix for g in build_super_gates(p, basis, frac * dt / 12.0)]
+    return {frac: build_super_gates(p, basis, frac * dt / 12.0)
             for frac in (1, -2)}
 
 
