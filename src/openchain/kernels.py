@@ -2,8 +2,11 @@
 
 The two-site bond update (theta assembly, gate contraction, SVD re-split,
 guarded lambda division) dominates runtime for every engine, so it lives here
-as one plain numpy kernel. ``perfbench/run.py`` measures end-to-end runs and,
-with ``--trace 1``, the time spent in each public function here; its
+as one plain numpy kernel. Its split, ``_split_theta``, is the one truncated
+SVD of the package and ``_keep_count`` the one truncation rule: the bond
+updates, the infinite cell's re-orthogonalization and the dense-to-MPDO
+decomposition all split with them. ``perfbench/run.py`` measures end-to-end
+runs and, with ``--trace 1``, the time spent in each public function here; its
 per-update readings (bond dimension, call counts) come from ``bond_update``
 and ``bond_update_nogate``, which return the new lambda at index 1 and the
 new bond's charge labels last. Callers reach both through the module
@@ -18,7 +21,7 @@ Gamma_k[a, s, c] = 0 unless q_a + p_s + q_c is even, so every theta is
 block-diagonal: its rows group by (q_l + p_s1) mod 2 and its columns by
 (p_s2 + q_r) mod 2. ``_split_theta`` SVDs each block, merges the spectra by
 a stable descending sort, applies the one truncation rule
-(``tensors._keep_count``) to the merged spectrum and returns the kept values'
+(``_keep_count``) to the merged spectrum and returns the kept values'
 groups as the new bond's labels. An unlabelled chain is one group: the SVD
 runs on theta itself and the arithmetic is that of a plain dense split.
 
@@ -35,8 +38,6 @@ the normal one.
 """
 
 import numpy as np
-
-from .tensors import _keep_count
 
 __all__ = [
     "JIT_ENABLED",
@@ -57,6 +58,19 @@ LAMBDA_FLOOR = 1e-10
 
 # Read by perfbench/measure.py for its environment stamp; there is no jit lane.
 JIT_ENABLED = False
+
+
+def _keep_count(s, chi_max, cutoff):
+    """The one truncation rule: how many leading values of ``s`` to keep.
+
+    ``s`` is sorted descending. Counts the leading s >= cutoff * s[0], caps
+    the count at ``chi_max`` and keeps at least one (exactly one if
+    s[0] <= 0).
+    """
+    if s[0] <= 0.0:
+        return 1
+    keep = int((-s).searchsorted(-cutoff * s[0], side="right"))
+    return max(1, min(keep, chi_max, len(s)))
 
 
 def _split_theta(theta, dl, d, dr, lam_l, lam_r, chi_max, cutoff, labels=None):

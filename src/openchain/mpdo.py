@@ -10,6 +10,9 @@ Finite chains use gate sweeps over all bonds; the translation-invariant
 infinite chain keeps a two-site unit cell with tensors (A, B) and bonds
 lambdas[0] = (A,B) inside the cell, lambdas[1] = (B,A) between cells, and is
 periodically re-orthogonalized from the transfer-operator fixed points.
+``reorthogonalize`` and ``mpdo_from_dense`` split with the bond kernel's
+split and truncation rule, like every gate, so the floored division by
+lambdas lives only in the kernel.
 
 Charge labels: the XXZ Hamiltonian and the jumps sigma+, sigma-, sigma-z all
 commute with the Z2 map rho -> (prod sz) rho (prod sz), under which every
@@ -34,9 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .models import ModelParams, OperatorBasis, SZ, build_super_gates, \
+from .models import ID2, ModelParams, OperatorBasis, SZ, build_super_gates, \
     linearized_basis, pauli_basis
-from .tensors import _keep_count, truncated_svd
 
 __all__ = [
     "MpdoState", "DegenerateTransferError",
@@ -147,26 +149,27 @@ def neel_mpdo(n, basis=None):
 
 
 def _dense_to_vidal(vec, d, n, chi, cutoff):
-    """Split a dense (d^n,) coefficient vector into Vidal tensors/lambdas."""
+    """Split a dense (d^n,) coefficient vector into Vidal tensors/lambdas.
+
+    Each cut is one bond-kernel split with the previous lambda on the left and
+    unit lambdas on the right; the last site's tensor is the last split's
+    right tensor.
+    """
     tensors, lambdas = [], []
     log_scale = 0.0
-    rest = np.asarray(vec).reshape(1, -1)
-    lam_prev = np.ones(1)
-    for _ in range(n - 1):
-        chi_prev = rest.shape[0]
-        m = rest.reshape(chi_prev * d, -1)
-        res = truncated_svd(m, chi, cutoff)
-        w = float(np.linalg.norm(res.singular_values))
-        lam = res.singular_values / w
-        log_scale += np.log(w)
-        gam = res.left.reshape(chi_prev, d, len(lam))
-        inv = np.where(lam_prev > kernels.LAMBDA_FLOOR, 1.0 / lam_prev, 0.0)
-        tensors.append(gam * inv[:, None, None])
+    rest = np.asarray(vec)
+    gam_r = rest.reshape(1, d, -1)
+    lam = np.ones(1)
+    for k in range(n - 1):
+        dl, dr = len(lam), d ** (n - k - 2)
+        gam_l, lam, gam_r, kept, _, _ = kernels._split_theta(
+            rest.reshape(dl * d, d * dr), dl, d, dr, lam, np.ones(dr), chi,
+            cutoff)
+        log_scale += np.log(kept)
+        tensors.append(gam_l)
         lambdas.append(lam)
-        rest = lam[:, None] * res.right
-        lam_prev = lam
-    inv = np.where(lam_prev > kernels.LAMBDA_FLOOR, 1.0 / lam_prev, 0.0)
-    tensors.append((rest * inv[:, None]).reshape(len(lam_prev), d, 1))
+        rest = lam[:, None, None] * gam_r
+    tensors.append(gam_r)
     return tensors, lambdas, log_scale
 
 
@@ -237,12 +240,7 @@ def _site_matrices(state, vec):
 
 def trace(state: MpdoState):
     """Tr rho of a finite-chain MPDO (includes the tracked scale)."""
-    mats = _site_matrices(state, _trace_vector(state.basis))
-    acc = mats[0]
-    for k in range(1, state.n_sites):
-        acc = (acc * state.lambdas[k - 1][None, :]) @ mats[k]
-    val = acc[0, 0]
-    return float(np.real(val)) * float(np.exp(state.log_scale))
+    return local_expectation(state, ID2, 0)
 
 
 def local_expectation(state: MpdoState, op, site):
@@ -406,10 +404,11 @@ def reorthogonalize(state: MpdoState, chi=None, cutoff=1e-14, tol=1e-10,
     """Restore the canonical form of the infinite unit cell.
 
     Fuses the cell across the outer (B,A) bond, gauges that bond from the
-    left/right transfer fixed points, then re-splits the inner bond with an
-    SVD. The gauge Q C P of the fused cell C (chi, 16, chi) is two matmuls,
-    (Q @ C.reshape(chi, 16 chi)).reshape(16 chi', chi) @ P, at O(16 chi^3);
-    each power-iteration step of a fixed point is likewise two matmuls.
+    left/right transfer fixed points, then re-splits the inner bond with the
+    bond kernel's split. The gauge Q C P of the fused cell C (chi, 16, chi)
+    is two matmuls, (Q @ C.reshape(chi, 16 chi)).reshape(16 chi', chi) @ P,
+    at O(16 chi^3); each power-iteration step of a fixed point is likewise
+    two matmuls.
     Raises ValueError if ``max_iter`` < 1 and DegenerateTransferError if
     power iteration stalls.
     """
@@ -435,7 +434,7 @@ def reorthogonalize(state: MpdoState, chi=None, cutoff=1e-14, tol=1e-10,
     y_f, yu, ys = _herm_sqrt(v_l)                 # v_l = y^dag y with y = (y_f)^dag
     y = y_f.conj().T
     u, s, vh = np.linalg.svd(y @ (lam_ba[:, None] * x_f))
-    keep = _keep_count(s, chi, cutoff)
+    keep = kernels._keep_count(s, chi, cutoff)
     u, s, vh = u[:, :keep], s[:keep], vh[:keep, :]
     lam_ba_new = s / float(np.linalg.norm(s))
     # gauge matrices: lambda_old = P lambda_new Q with P = y^+ u, Q = vh x^+
@@ -450,12 +449,9 @@ def reorthogonalize(state: MpdoState, chi=None, cutoff=1e-14, tol=1e-10,
     theta = cell_new.reshape(keep, 4, 4, keep)
     theta = theta * lam_ba_new[:, None, None, None]
     theta = theta * lam_ba_new[None, None, None, :]
-    res = truncated_svd(theta.reshape(keep * 4, 4 * keep), chi, cutoff)
-    win = float(np.linalg.norm(res.singular_values))
-    lam_ab_new = res.singular_values / win
-    inv = np.where(lam_ba_new > kernels.LAMBDA_FLOOR, 1.0 / lam_ba_new, 0.0)
-    ga_new = res.left.reshape(keep, 4, len(lam_ab_new)) * inv[:, None, None]
-    gb_new = res.right.reshape(len(lam_ab_new), 4, keep) * inv[None, None, :]
+    ga_new, lam_ab_new, gb_new, _, _, _ = kernels._split_theta(
+        theta.reshape(keep * 4, 4 * keep), keep, 4, keep, lam_ba_new,
+        lam_ba_new, chi, cutoff)
 
     if state.basis.flavor == "pauli":
         for arr in (ga_new, gb_new):

@@ -2,16 +2,16 @@
 
 Everything here works on full 2^n state vectors or 2^n x 2^n density
 matrices and is the ground truth for the matrix-product engines at small n.
-Density-matrix evolution is capped at n=8 and pure states at n=10 to keep
-reference runs fast.
+Density-matrix evolution is capped at n=8, and pure states at n=10
+(``MAX_PURE_SITES``, enforced by the trajectory mirror) to keep reference
+runs fast. Single-site <sz> is read from the computational-basis
+populations (diag rho, |psi|^2). There is no trajectory stepper here: the
+one dense trajectory code is ``trajectories.run_dense_conditional``.
 """
 
-from functools import lru_cache
-
 import numpy as np
-from scipy.linalg import expm
 
-from .models import SZ, ModelParams, _jump_channels, two_site_hamiltonian
+from .models import ModelParams, _jump_channels, two_site_hamiltonian
 
 __all__ = [
     "OracleError",
@@ -20,7 +20,7 @@ __all__ = [
     "neel_vector", "neel_rho",
     "lindblad_rhs", "dense_lindblad_evolve",
     "dense_oe", "dense_pure_entropy", "dense_sz", "dense_sz_pure",
-    "apply_two_site_dense", "dense_trajectory_step", "effective_propagator",
+    "apply_two_site_dense",
 ]
 
 MAX_RHO_SITES = 8
@@ -160,18 +160,27 @@ def dense_oe(rho, cut):
     return _entropy_bits(p)
 
 
+def _sz_from_populations(pops, n):
+    """<sz_i> of every site from the 2^n basis populations; site 0 is the
+    most significant bit and bit 0 is spin up."""
+    out = np.empty(n)
+    for i in range(n):
+        up, down = pops.reshape(2 ** i, 2, -1).sum(axis=(0, 2))
+        out[i] = up - down
+    return out
+
+
 def dense_sz(rho, n=None):
     rho = np.asarray(rho)
     n = int(round(np.log2(rho.shape[0]))) if n is None else n
-    return np.array([np.trace(site_operator(SZ, i, n) @ rho).real for i in range(n)])
+    return _sz_from_populations(np.diagonal(rho).real, n)
 
 
 def dense_sz_pure(psi, n=None):
     psi = np.asarray(psi)
     n = int(round(np.log2(psi.size))) if n is None else n
-    nrm = np.vdot(psi, psi).real
-    return np.array([np.vdot(psi, site_operator(SZ, i, n) @ psi).real / nrm
-                     for i in range(n)])
+    pops = np.abs(psi) ** 2
+    return _sz_from_populations(pops, n) / pops.sum()
 
 
 def apply_two_site_dense(psi, gate4, bond, n):
@@ -180,49 +189,3 @@ def apply_two_site_dense(psi, gate4, bond, n):
     th = psi.reshape(shape)
     th = np.einsum("st,atb->asb", gate4, th)
     return th.reshape(-1)
-
-
-@lru_cache(maxsize=32)
-def _cached_propagator(key):
-    (j, delta, gp, gm, gz, n, dt) = key
-    p = ModelParams(j=j, delta=delta, gamma_plus=gp, gamma_minus=gm,
-                    gamma_z=gz, n_sites=n)
-    ham = xxz_hamiltonian(p, n)
-    h_nh = np.zeros_like(ham)
-    for l in dense_jump_ops(p, n):
-        h_nh += -0.5j * (l.conj().T @ l)
-    return expm(-1j * (ham + h_nh) * dt)
-
-
-def effective_propagator(p: ModelParams, n, dt):
-    """exp(-i H_eff dt) with H_eff = H - (i/2) sum L^dag L (cached)."""
-    key = (p.j, p.delta, p.gamma_plus, p.gamma_minus, p.gamma_z, n, dt)
-    return _cached_propagator(key)
-
-
-def dense_trajectory_step(psi, p: ModelParams, dt, rng, propagator=None):
-    """One first-order quantum-trajectory step on a dense state vector.
-
-    Non-unitary evolution under the effective Hamiltonian, then a jump with
-    probability 1 - |psi|^2, channel chosen proportional to <L^dag L>.
-    Returns the normalized state.
-    """
-    psi = np.asarray(psi, dtype=complex)
-    n = int(round(np.log2(psi.size)))
-    if n > MAX_PURE_SITES:
-        raise OracleError(f"pure-state oracle capped at {MAX_PURE_SITES} sites, got {n}")
-    u = effective_propagator(p, n, dt) if propagator is None else propagator
-    phi = u @ psi
-    nrm2 = np.vdot(phi, phi).real
-    if rng.random() < 1.0 - nrm2:
-        jumps = dense_jump_ops(p, n)
-        weights = np.array([np.vdot(phi, l.conj().T @ l @ phi).real for l in jumps])
-        weights = np.clip(weights, 0.0, None)
-        total = weights.sum()
-        if total <= 0.0:
-            raise OracleError("jump fired but all channel weights vanish")
-        target = rng.random() * total
-        idx = int(np.searchsorted(np.cumsum(weights), target, side="right"))
-        idx = min(idx, len(jumps) - 1)
-        phi = jumps[idx] @ phi
-    return phi / np.linalg.norm(phi)

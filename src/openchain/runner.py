@@ -13,8 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, mpdo, mps, oracle, trajectories as tj, traces
-from .models import ModelParams, SZ, linearized_basis, pauli_basis
+from . import __version__, mpdo, oracle, trajectories as tj, traces
+from .models import ModelParams, linearized_basis, pauli_basis
 
 __all__ = [
     "RunConfig", "RunResult", "ConfigError",

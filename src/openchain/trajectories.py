@@ -14,7 +14,9 @@ Two schemes:
 
 A dense mirror of the conditional scheme (same RNG consumption, same gate
 products) lives here too so jump logs can be compared against the exact
-solver bit for bit.
+solver bit for bit. ``run_dense_conditional`` is the package's one dense
+trajectory reference; ``tests/test_oracle.py`` validates it statistically
+against the Lindblad oracle (ensemble <sz>, inter-jump waiting times).
 """
 
 import logging
@@ -290,21 +292,31 @@ def conditional_jump_mask(weights, h, rng):
     return mask
 
 
+def _conditional_grid(cfg: TrajectoryConfig):
+    """(step, number of steps, steps per record) of the conditional scheme.
+
+    Raises ValueError unless t_max and dt_obs are integer multiples of the
+    step.
+    """
+    h = cfg.step_cap()
+    n_steps = int(round(cfg.t_max / h))
+    if abs(n_steps * h - cfg.t_max) > 1e-9:
+        raise ValueError("t_max must be an integer multiple of the step for "
+                         "the per-step-conditional scheme")
+    rec_every = int(round(cfg.dt_obs / h))
+    if abs(rec_every * h - cfg.dt_obs) > 1e-9:
+        raise ValueError("dt_obs must be an integer multiple of the step")
+    return h, n_steps, rec_every
+
+
 def _run_conditional(cfg: TrajectoryConfig, traj_index):
     p = cfg.params
     n = p.n_sites
     rng = _traj_rng(cfg.seed, traj_index)
     state = mps.neel_mps(n)
     jumps = build_jump_ops(p)
-    h = cfg.step_cap()
-    n_steps = int(round(cfg.t_max / h))
-    if abs(n_steps * h - cfg.t_max) > 1e-9:
-        raise ValueError("t_max must be an integer multiple of the step for "
-                         "the per-step-conditional scheme")
+    h, n_steps, rec_every = _conditional_grid(cfg)
     gates = build_effective_gates(p, 0.5 * h)
-    rec_every = int(round(cfg.dt_obs / h))
-    if abs(rec_every * h - cfg.dt_obs) > 1e-9:
-        raise ValueError("dt_obs must be an integer multiple of the step")
     rec = _Recorder(cfg, bond_window(n, cfg.bond_window))
     jump_log = []
     max_tw = 0.0
@@ -353,10 +365,8 @@ def run_dense_conditional(cfg: TrajectoryConfig, traj_index=0):
     dense_ops = {(j.site, j.channel):
                  oracle.site_operator(j.matrix / np.sqrt(j.rate), j.site, n)
                  for j in jumps}
-    h = cfg.step_cap()
-    n_steps = int(round(cfg.t_max / h))
+    h, n_steps, rec_every = _conditional_grid(cfg)
     gates = build_effective_gates(p, 0.5 * h)
-    rec_every = int(round(cfg.dt_obs / h))
     n_rec = int(round(cfg.t_max / cfg.dt_obs))
     times = np.arange(n_rec + 1) * cfg.dt_obs
     sz_series = [oracle.dense_sz_pure(psi)]

@@ -5,7 +5,7 @@ import pytest
 
 from openchain import kernels, mpdo
 from openchain.models import ModelParams, linearized_basis, pauli_basis
-from openchain.tensors import _keep_count
+from openchain.kernels import _keep_count
 
 BASES = [pauli_basis(), linearized_basis()]
 RATES = dict(gamma_plus=0.3, gamma_minus=0.5, gamma_z=0.2)

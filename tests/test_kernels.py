@@ -46,6 +46,49 @@ def test_truncation_cap_and_cutoff():
     assert abs(np.linalg.norm(lam) - 1.0) <= 1e-12
 
 
+def split(m, chi_max, cutoff):
+    """The bond kernel's split of a matrix with unit boundary lambdas, so the
+    returned tensors are U and V^dag: (U, kept singular values, V^dag, tw)."""
+    rows, cols = m.shape
+    gl, lam, gr, kept, tw, _ = kernels._split_theta(
+        m, rows, 1, cols, np.ones(rows), np.ones(cols), chi_max, cutoff)
+    return gl.reshape(rows, -1), kept * lam, gr.reshape(-1, cols), tw
+
+
+def test_split_weight_isometries_and_order():
+    rng = np.random.default_rng(3)
+    for shape, chi in [((6, 9), 3), ((8, 5), 8), ((7, 7), 2)]:
+        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        u, s, vh, tw = split(m, chi, 0.0)
+        err = np.linalg.norm(m - (u * s[None, :]) @ vh)
+        assert abs(err - tw) <= 1e-10
+        k = len(s)
+        assert np.max(np.abs(u.conj().T @ u - np.eye(k))) <= 1e-12
+        assert np.max(np.abs(vh @ vh.conj().T - np.eye(k))) <= 1e-12
+        assert np.all(np.diff(s) <= 1e-15)
+        assert np.all(s >= 0)
+
+
+def test_split_diag_truncation():
+    _, s, _, tw = split(np.diag([3.0, 2.0, 1.0]), 2, 1e-12)
+    assert np.allclose(s, [3.0, 2.0])
+    assert tw == pytest.approx(1.0)
+    _, s, _, tw = split(np.eye(2), 2, 1e-12)
+    assert np.allclose(s, [1.0, 1.0])
+    assert tw == 0.0
+
+
+def test_split_relative_cutoff():
+    _, s, _, _ = split(np.diag([1.0, 1e-6, 1e-15]), 10, 1e-12)
+    assert len(s) == 2
+
+
+def test_split_rank_one():
+    _, s, _, _ = split(np.outer([1.0, 1.0], [1.0, 1.0]), 4, 1e-14)
+    assert len(s) == 1
+    assert s[0] == pytest.approx(2.0)
+
+
 def test_schmidt_entropy():
     assert kernels.schmidt_entropy(np.array([1.0])) == 0.0
     assert kernels.schmidt_entropy(np.array([np.sqrt(0.5), np.sqrt(0.5)])) == \

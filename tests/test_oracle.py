@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from openchain import oracle
+from openchain import oracle, trajectories as tj
 from openchain.models import ModelParams
 
 
@@ -54,9 +54,10 @@ def test_caps_enforced():
     with pytest.raises(oracle.OracleError):
         oracle.dense_lindblad_evolve(np.eye(2 ** 9) / 2 ** 9,
                                      ModelParams(gamma_z=1.0), 0.1, 0.1)
-    with pytest.raises(oracle.OracleError):
-        oracle.dense_trajectory_step(np.zeros(2 ** 11), ModelParams(gamma_z=1.0),
-                                     0.1, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        tj.run_dense_conditional(tj.TrajectoryConfig(
+            params=ModelParams(n_sites=12, gamma_z=1.0), t_max=0.1, dt=0.1,
+            scheme="per-step-conditional"))
 
 
 def test_trace_drift_abort():
@@ -67,33 +68,17 @@ def test_trace_drift_abort():
                                      tol=1e30, max_doublings=1)
 
 
-def test_trajectory_step_unitary_limit():
-    p = ModelParams(n_sites=4)
-    psi = oracle.neel_vector(4)
-    rng = np.random.default_rng(2)
-    out = psi
-    for _ in range(20):
-        out = oracle.dense_trajectory_step(out, p, 0.05, rng)
-    assert np.vdot(out, out).real == pytest.approx(1.0, abs=1e-10)
-    ham = oracle.xxz_hamiltonian(p, 4)
-    evals, evecs = np.linalg.eigh(ham)
-    want = evecs @ (np.exp(-1j * evals * 1.0) * (evecs.conj().T @ psi))
-    assert abs(np.vdot(want, out)) == pytest.approx(1.0, abs=1e-10)
-
-
 def test_trajectory_ensemble_matches_lindblad():
-    # spec-style self-consistency at small size with a modest ensemble
+    # the dense mirror's ensemble mean at small size reproduces the oracle
     n = 2
     p = ModelParams(n_sites=n, gamma_plus=0.4, gamma_minus=0.4)
     dt, t_max, n_traj = 0.02, 1.0, 3000
-    prop = oracle.effective_propagator(p, n, dt)
-    rng = np.random.default_rng(7)
+    cfg = tj.TrajectoryConfig(params=p, dt_obs=t_max, t_max=t_max, dt=dt,
+                              seed=7, scheme="per-step-conditional")
     acc = np.zeros(n)
-    for _ in range(n_traj):
-        psi = oracle.neel_vector(n)
-        for _ in range(int(t_max / dt)):
-            psi = oracle.dense_trajectory_step(psi, p, dt, rng, propagator=prop)
-        acc += oracle.dense_sz_pure(psi)
+    for k in range(n_traj):
+        _, _, sz = tj.run_dense_conditional(cfg, k)
+        acc += sz[-1]
     mean = acc / n_traj
     _, rhos = oracle.dense_lindblad_evolve(oracle.neel_rho(n), p, t_max, t_max)
     want = oracle.dense_sz(rhos[-1])
@@ -102,24 +87,13 @@ def test_trajectory_ensemble_matches_lindblad():
 
 
 def test_interjump_times_are_exponential():
-    # with H=0 the jump record of the first-order stepper follows the
-    # analytic rate N*gamma; KS-test the waiting times
-    n, gamma, dt = 2, 1.0, 0.002
+    # with H=0 the mirror's jump record follows the analytic rate N*gamma;
+    # KS-test the waiting times
+    n, gamma, dt, n_steps = 2, 1.0, 0.002, 200000
     p = ModelParams(n_sites=n, j=0.0, delta=0.0, gamma_plus=gamma, gamma_minus=gamma)
-    prop = oracle.effective_propagator(p, n, dt)
-    rng = np.random.default_rng(0)
-    waits = []
-    psi = oracle.neel_vector(n)
-    last = 0.0
-    t = 0.0
-    for _ in range(200000):
-        t += dt
-        before = psi
-        psi = oracle.dense_trajectory_step(psi, p, dt, rng, propagator=prop)
-        if abs(abs(np.vdot(before, psi)) - 1.0) > 1e-9:  # a jump happened
-            waits.append(t - last)
-            last = t
-        if len(waits) >= 1500:
-            break
+    cfg = tj.TrajectoryConfig(params=p, dt_obs=n_steps * dt, t_max=n_steps * dt,
+                              dt=dt, seed=0, scheme="per-step-conditional")
+    jump_log, _, _ = tj.run_dense_conditional(cfg)
+    waits = np.diff([0.0] + [t for t, _, _ in jump_log])[:1500]
     res = stats.kstest(waits, "expon", args=(0.0, 1.0 / (n * gamma)))
     assert res.pvalue > 0.01, (len(waits), res)

@@ -149,6 +149,20 @@ def test_zero_rate_limit_equals_closed_evolution():
     psi = evecs @ (np.exp(-1j * evals * 1.0) * (evecs.conj().T @ oracle.neel_vector(4)))
     assert np.max(np.abs(tr.sz[-1] - oracle.dense_sz_pure(psi))) <= 5e-4
     assert tr.s_center[-1] == pytest.approx(oracle.dense_pure_entropy(psi, 2), abs=5e-4)
+    mirror = config(params=p, t_max=1.0, dt=0.02, dt_obs=0.2,
+                    scheme="per-step-conditional")
+    jump_log, _, sz = tj.run_dense_conditional(mirror)
+    assert jump_log == []
+    assert np.max(np.abs(sz[-1] - oracle.dense_sz_pure(psi))) <= 5e-4
+
+
+def test_conditional_grid_must_divide_the_record_step():
+    p = ModelParams(n_sites=4, gamma_minus=0.5)
+    cfg = config(params=p, dt=0.02, scheme="per-step-conditional")   # 0.25 / 0.02
+    with pytest.raises(ValueError, match="dt_obs"):
+        tj.run_trajectory(cfg)
+    with pytest.raises(ValueError, match="dt_obs"):
+        tj.run_dense_conditional(cfg)
 
 
 def test_trajectory_determinism():
