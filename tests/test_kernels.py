@@ -69,15 +69,6 @@ def test_split_weight_isometries_and_order():
         assert np.all(s >= 0)
 
 
-def test_split_diag_truncation():
-    _, s, _, tw = split(np.diag([3.0, 2.0, 1.0]), 2, 1e-12)
-    assert np.allclose(s, [3.0, 2.0])
-    assert tw == pytest.approx(1.0)
-    _, s, _, tw = split(np.eye(2), 2, 1e-12)
-    assert np.allclose(s, [1.0, 1.0])
-    assert tw == 0.0
-
-
 def test_split_relative_cutoff():
     _, s, _, _ = split(np.diag([1.0, 1e-6, 1e-15]), 10, 1e-12)
     assert len(s) == 2
