@@ -32,9 +32,12 @@ runs through one layer executor, ``apply_layers``, which takes a list of
 ``b`` of that parity. Bonds of one parity share no site, so the order within a
 layer does not change the arithmetic. A chain with as many bonds as sites is a
 periodic cell (the infinite-chain unit cell): its last bond wraps around to
-site 0. A normal sweep is the layer of parity 0 then the layer of parity 1; a
-transposed sweep is the reverse, so it is the exact reverse-ordered product of
-the normal one.
+site 0, and the outer lambdas and charge labels of every bond update wrap
+with it, so a labelled cell takes the same block SVD as a finite chain. A
+labelled chain's gates are checked for sector coupling once per distinct
+gate matrix in each ``apply_layers`` call, before any layer runs. A normal
+sweep is the layer of parity 0 then the layer of parity 1; a transposed sweep
+is the reverse, so it is the exact reverse-ordered product of the normal one.
 """
 
 import numpy as np
@@ -73,6 +76,18 @@ def _keep_count(s, chi_max, cutoff):
     return max(1, min(keep, chi_max, len(s)))
 
 
+def _merge_spectra(spectra, groups):
+    """Block spectra merged by a stable descending sort: (values, group of each).
+
+    Each spectrum is sorted descending, so a block's values keep their order
+    and any leading run of the merge holds each block's leading values.
+    """
+    s = np.concatenate(spectra)
+    q = np.repeat(groups, [len(x) for x in spectra])
+    order = np.argsort(-s, kind="stable")
+    return s[order], q[order]
+
+
 def _split_theta(theta, dl, d, dr, lam_l, lam_r, chi_max, cutoff, labels=None):
     """SVD re-split of a two-site theta, truncating and rebuilding the gammas.
 
@@ -98,10 +113,7 @@ def _split_theta(theta, dl, d, dr, lam_l, lam_r, chi_max, cutoff, labels=None):
         cols = [np.flatnonzero(col_q == g) for g in (0, 1)]
         blocks = [np.linalg.svd(theta.take(r, axis=0).take(c, axis=1),
                                 full_matrices=False) for r, c in zip(rows, cols)]
-        s = np.concatenate([b[1] for b in blocks])
-        q = np.repeat((0, 1), [len(b[1]) for b in blocks])
-        order = np.argsort(-s, kind="stable")
-        s, q = s[order], q[order]
+        s, q = _merge_spectra([b[1] for b in blocks], (0, 1))
     keep = _keep_count(s, chi_max, cutoff)
     w2 = 0.0
     for k in range(keep, s.shape[0]):
@@ -182,15 +194,17 @@ def bond_update_nogate(lam_l, gam_l, lam_c, gam_r, lam_r, chi_max, cutoff,
 _ONE = np.ones(1, dtype=np.float64)
 _ZERO_CHARGE = np.zeros(1, dtype=np.int64)
 
-# A gate entry between different pair-parity sectors larger than this
-# fraction of the largest entry would be lost by the block SVD.
+# An entry between different charge sectors (of a gate, or of the infinite
+# cell's transfer fixed points) larger than this fraction of the largest
+# entry would be lost by the block SVD.
 OFF_BLOCK_TOL = 1e-12
 
 
 def _boundary(lambdas, bond, n_sites, edge=_ONE):
     """(right site, left entry, right entry) of a per-bond list around ``bond``.
 
-    A finite chain's ends take ``edge``.
+    A finite chain's ends take ``edge``; a periodic cell's entries wrap around,
+    for lambdas and charge labels alike.
     """
     n_bonds = len(lambdas)
     right = (bond + 1) % n_sites
@@ -201,12 +215,16 @@ def _boundary(lambdas, bond, n_sites, edge=_ONE):
     return right, lam_l, lam_r
 
 
+def _off_block(m, q):
+    """(largest |m[i, j]| with q[i] != q[j], largest |m[i, j]|) of a square m."""
+    off = np.abs(m[q[:, None] != q[None, :]])
+    return (float(off.max()) if off.size else 0.0), float(np.max(np.abs(m)))
+
+
 def _check_gate_sectors(gate, site_parity, bond):
     """Raise ValueError if ``gate`` couples different pair-parity sectors."""
     pair = ((site_parity[:, None] + site_parity[None, :]) % 2).ravel()
-    off = np.abs(gate[pair[:, None] != pair[None, :]])
-    off_max = float(off.max()) if off.size else 0.0
-    scale = float(np.max(np.abs(gate)))
+    off_max, scale = _off_block(gate, pair)
     if off_max > OFF_BLOCK_TOL * scale:
         raise ValueError(
             f"gate at bond {bond} couples Z2 charge sectors of a labelled "
@@ -230,6 +248,15 @@ def apply_bond_gate(tensors, lambdas, gate, bond, chi_max, cutoff,
     couples different pair-parity sectors of a labelled chain raises
     ValueError.
     """
+    if gate is not None and charges is not None:
+        _check_gate_sectors(gate, site_parity, bond)
+    return _update_bond(tensors, lambdas, gate, bond, chi_max, cutoff, charges,
+                        site_parity)
+
+
+def _update_bond(tensors, lambdas, gate, bond, chi_max, cutoff, charges,
+                 site_parity):
+    """apply_bond_gate without the gate's sector check."""
     right, lam_l, lam_r = _boundary(lambdas, bond, len(tensors))
     labels = None
     if charges is not None:
@@ -247,8 +274,6 @@ def apply_bond_gate(tensors, lambdas, gate, bond, chi_max, cutoff,
             else:
                 raise TypeError("complex gate applied to a real-valued chain; "
                                 "gate flavor does not match the state")
-        if labels is not None:
-            _check_gate_sectors(gate, site_parity, bond)
         gl, lam, gr, kept, tw, q = bond_update(
             lam_l, tensors[bond], lambdas[bond], tensors[right], lam_r,
             gate, chi_max, cutoff, labels)
@@ -269,15 +294,25 @@ def apply_layers(tensors, lambdas, layers, chi_max, cutoff, charges=None,
     ``layers`` is a sequence of ``(parity, gates)``: each layer applies
     ``gates[bond]`` at every bond of that parity, left to right. ``gates`` is
     a per-bond list (entries may repeat the same matrix). ``charges`` and
-    ``site_parity`` are the optional labels of apply_bond_gate.
+    ``site_parity`` are the optional labels of apply_bond_gate. On a labelled
+    chain each distinct gate matrix is checked for sector coupling once,
+    before any layer runs; the error names the bond of its first use.
     """
     n_bonds = len(lambdas)
+    if charges is not None:
+        first_use = {}
+        for parity, gates in layers:
+            for bond in range(parity, n_bonds, 2):
+                if gates[bond] is not None:
+                    first_use.setdefault(id(gates[bond]), (gates[bond], bond))
+        for gate, bond in first_use.values():
+            _check_gate_sectors(gate, site_parity, bond)
     log_norm = 0.0
     max_tw = 0.0
     for parity, gates in layers:
         for bond in range(parity, n_bonds, 2):
-            ln, tw = apply_bond_gate(tensors, lambdas, gates[bond], bond,
-                                     chi_max, cutoff, charges, site_parity)
+            ln, tw = _update_bond(tensors, lambdas, gates[bond], bond, chi_max,
+                                  cutoff, charges, site_parity)
             log_norm += ln
             if tw > max_tw:
                 max_tw = tw

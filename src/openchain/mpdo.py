@@ -17,15 +17,19 @@ lambdas lives only in the kernel.
 Charge labels: the XXZ Hamiltonian and the jumps sigma+, sigma-, sigma-z all
 commute with the Z2 map rho -> (prod sz) rho (prod sz), under which every
 basis element has a definite parity (``OperatorBasis.parities``: I, Z and the
-diagonal matrix units even, X, Y and the off-diagonal units odd). A finite
-MPDO may therefore carry ``charges``: one int array per bond, aligned with
+diagonal matrix units even, X, Y and the off-diagonal units odd). An MPDO
+may therefore carry ``charges``: one int array per bond, aligned with
 ``lambdas``, holding the Z2 parity of the part of the chain left of each bond
-index (outer bonds count as 0). Every gate layer, canonicalization and
-single gate keeps them up to date, and the bond kernel then SVDs the two
-charge blocks of each theta separately. ``neel_mpdo`` and ``product_mpdo``
-label their bonds when every site has a definite parity and the total is
-even; otherwise, and for the infinite cell and ``mpdo_from_dense``,
-``charges`` is None and the dense kernel runs. Checkpoints keep the labels:
+index (outer bonds of a finite chain count as 0; on the infinite cell the
+(B,A) bond carries the parity left of a cell boundary, which an even cell
+keeps the same in every cell). Every gate layer, canonicalization, single
+gate and ``reorthogonalize`` keeps them up to date, and the bond kernel then
+SVDs the two charge blocks of each theta separately; ``reorthogonalize``
+also takes its square roots and gauge SVD per block. ``neel_mpdo`` and
+``product_mpdo`` label their bonds, finite chain and cell alike, when every
+site has a definite parity and the total is even; otherwise, and for
+``mpdo_from_dense``, ``charges`` is None and the dense kernel runs (an
+unlabelled cell is one block). Checkpoints keep the labels:
 ``save_checkpoint`` stores one ``charge_<k>`` array per bond of a labelled
 chain and ``load_checkpoint`` restores them (a file without them loads
 unlabelled).
@@ -63,7 +67,8 @@ class MpdoState:
     basis: OperatorBasis = field(repr=False, default=None)
     log_scale: float = 0.0
     cell: str = "finite"                # "finite" | "infinite"
-    charges: list = field(repr=False, default=None)   # per-bond Z2 labels or None
+    # per-bond Z2 labels, aligned with lambdas (finite chain and cell), or None
+    charges: list = field(repr=False, default=None)
 
     @property
     def n_sites(self):
@@ -135,13 +140,18 @@ _DOWN = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 
 
 def neel_mpdo(n, basis=None):
-    """Neel product MPDO; n=None gives the infinite two-site unit cell."""
+    """Neel product MPDO; n=None gives the infinite two-site unit cell.
+
+    Both are charge-labelled as product_mpdo decides; the cell's (B,A) bond,
+    between cells, carries the cell's even total parity, 0.
+    """
     basis = pauli_basis() if basis is None else basis
     if n is None:
         state = product_mpdo([_UP, _DOWN], basis)
         state.cell = "infinite"
         state.lambdas = [np.ones(1), np.ones(1)]
-        state.charges = None
+        if state.charges is not None:
+            state.charges.append(np.zeros(1, dtype=np.int64))
         return state
     if n < 2 or n % 2 != 0:
         raise ValueError(f"Neel state needs an even number of sites, got {n}")
@@ -392,11 +402,41 @@ def _transfer_fixed_point(mats, tol, max_iter):
         "try a smaller time step or re-orthogonalize more often")
 
 
-def _herm_sqrt(v, floor=1e-14):
-    """PSD square-root factor: v = f f^dag, dropping near-null directions."""
-    w, u = np.linalg.eigh(0.5 * (v + v.conj().T))
-    keep = w > floor * w[-1]
-    return u[:, keep] * np.sqrt(w[keep])[None, :], u[:, keep], np.sqrt(w[keep])
+def _herm_sqrt(blocks, floor=1e-14):
+    """PSD square-root factors of the diagonal blocks of one PSD matrix.
+
+    Returns (f, u, sqrt(w)) per block, with block = f f^dag; eigen-directions
+    at or below ``floor`` times the largest eigenvalue of all blocks are
+    dropped, as for the whole matrix.
+    """
+    eigs = [np.linalg.eigh(0.5 * (v + v.conj().T)) for v in blocks]
+    top = max(w[-1] for w, _ in eigs)
+    out = []
+    for w, u in eigs:
+        keep = w > floor * top
+        out.append((u[:, keep] * np.sqrt(w[keep])[None, :], u[:, keep],
+                    np.sqrt(w[keep])))
+    return out
+
+
+def _charge_blocks(v_r, v_l, q):
+    """(label, indices) of each non-empty charge block of the (B,A) bond.
+
+    An unlabelled bond (``q`` None) is one block. A labelled one raises
+    DegenerateTransferError if either fixed point has an off-block entry
+    above OFF_BLOCK_TOL times its largest entry.
+    """
+    if q is None:
+        return [(0, np.arange(len(v_r)))]
+    for side, v in (("right", v_r), ("left", v_l)):
+        off, scale = kernels._off_block(v, q)
+        if off > kernels.OFF_BLOCK_TOL * scale:
+            raise DegenerateTransferError(
+                f"{side} transfer fixed point couples Z2 charge sectors of a "
+                f"labelled cell: largest off-block entry {off:.3e} "
+                f"(max |entry| {scale:.3e})")
+    blocks = [(g, np.flatnonzero(q == g)) for g in (0, 1)]
+    return [(g, idx) for g, idx in blocks if idx.size]
 
 
 def reorthogonalize(state: MpdoState, chi=None, cutoff=1e-14, tol=1e-10,
@@ -409,8 +449,16 @@ def reorthogonalize(state: MpdoState, chi=None, cutoff=1e-14, tol=1e-10,
     is two matmuls, (Q @ C.reshape(chi, 16 chi)).reshape(16 chi', chi) @ P,
     at O(16 chi^3); each power-iteration step of a fixed point is likewise
     two matmuls.
+
+    On a labelled cell both fixed points are block-diagonal in the (B,A)
+    bond's charges, so the square roots and the gauge SVD run per charge
+    block; the block spectra are merged by a stable descending sort and cut
+    by the one truncation rule, P and Q are filled block by block, and the
+    inner re-split is the kernel's block split. The cell keeps its labels.
+    An unlabelled cell is one block.
     Raises ValueError if ``max_iter`` < 1 and DegenerateTransferError if
-    power iteration stalls.
+    power iteration stalls or a labelled cell's fixed point couples charge
+    sectors.
     """
     if state.cell != "infinite":
         raise ValueError("reorthogonalize applies to infinite states")
@@ -430,28 +478,38 @@ def reorthogonalize(state: MpdoState, chi=None, cutoff=1e-14, tol=1e-10,
         (cell * lam_ba[:, None, None]).transpose(1, 2, 0)).conj()
     v_l, eta_l = _transfer_fixed_point(left_mats, tol, max_iter)
 
-    x_f, xu, xs = _herm_sqrt(v_r)                 # v_r = x x^dag
-    y_f, yu, ys = _herm_sqrt(v_l)                 # v_l = y^dag y with y = (y_f)^dag
-    y = y_f.conj().T
-    u, s, vh = np.linalg.svd(y @ (lam_ba[:, None] * x_f))
+    q_ba = None if state.charges is None else state.charges[1]
+    blocks = _charge_blocks(v_r, v_l, q_ba)
+    xs = _herm_sqrt([v_r[np.ix_(idx, idx)] for _, idx in blocks])  # v_r = x x^dag
+    ys = _herm_sqrt([v_l[np.ix_(idx, idx)] for _, idx in blocks])  # v_l = y^dag y
+    svds = [np.linalg.svd(y_f.conj().T @ (lam_ba[idx, None] * x_f))
+            for (_, idx), (x_f, _, _), (y_f, _, _) in zip(blocks, xs, ys)]
+    s, q = kernels._merge_spectra([b[1] for b in svds],
+                                  [g for g, _ in blocks])
     keep = kernels._keep_count(s, chi, cutoff)
-    u, s, vh = u[:, :keep], s[:keep], vh[:keep, :]
-    lam_ba_new = s / float(np.linalg.norm(s))
-    # gauge matrices: lambda_old = P lambda_new Q with P = y^+ u, Q = vh x^+
-    y_pinv = yu * (1.0 / ys)[None, :]
-    x_pinv = (1.0 / xs)[:, None] * xu.conj().T
-    p_mat = y_pinv @ u
-    q_mat = vh @ x_pinv
+    q_ba_new = q[:keep]
+    lam_ba_new = s[:keep] / float(np.linalg.norm(s[:keep]))
+    # gauge matrices: lambda_old = P lambda_new Q with P = y^+ u, Q = vh x^+;
+    # a block's kept values are its leading ones, in order
+    p_mat = np.zeros((chi_ba, keep), dtype=cell.dtype)
+    q_mat = np.zeros((keep, chi_ba), dtype=cell.dtype)
+    for (g, idx), (_, xu, xw), (_, yu, yw), (u, _, vh) in zip(blocks, xs, ys,
+                                                              svds):
+        pos = np.flatnonzero(q_ba_new == g)
+        p_mat[np.ix_(idx, pos)] = (yu * (1.0 / yw)[None, :]) @ u[:, :len(pos)]
+        q_mat[np.ix_(pos, idx)] = vh[:len(pos), :] @ ((1.0 / xw)[:, None]
+                                                      * xu.conj().T)
     cell_new = (q_mat @ cell.reshape(chi_ba, -1)).reshape(-1, chi_ba) @ p_mat
 
     # re-split the fused cell at the inner bond
-    keep = len(lam_ba_new)
     theta = cell_new.reshape(keep, 4, 4, keep)
     theta = theta * lam_ba_new[:, None, None, None]
     theta = theta * lam_ba_new[None, None, None, :]
-    ga_new, lam_ab_new, gb_new, _, _, _ = kernels._split_theta(
+    labels = (None if q_ba is None else
+              (q_ba_new, state.basis.parities(), q_ba_new))
+    ga_new, lam_ab_new, gb_new, _, _, q_ab_new = kernels._split_theta(
         theta.reshape(keep * 4, 4 * keep), keep, 4, keep, lam_ba_new,
-        lam_ba_new, chi, cutoff)
+        lam_ba_new, chi, cutoff, labels)
 
     if state.basis.flavor == "pauli":
         for arr in (ga_new, gb_new):
@@ -461,6 +519,8 @@ def reorthogonalize(state: MpdoState, chi=None, cutoff=1e-14, tol=1e-10,
         gb_new = np.ascontiguousarray(gb_new.real)
     state.tensors = [ga_new, gb_new]
     state.lambdas = [lam_ab_new, lam_ba_new]
+    if q_ba is not None:
+        state.charges = [q_ab_new, q_ba_new]
     return state
 
 

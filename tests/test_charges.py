@@ -82,7 +82,8 @@ def test_neel_labels_and_copy():
     assert dup.charges is not st.charges
     assert all(a is not b and np.array_equal(a, b)
                for a, b in zip(dup.charges, st.charges))
-    assert mpdo.neel_mpdo(None, BASES[0]).charges is None
+    cell = mpdo.neel_mpdo(None, BASES[0])
+    assert [q.tolist() for q in cell.charges] == [[0], [0]]
 
 
 def test_mixed_parity_product_is_unlabelled():
@@ -169,6 +170,36 @@ def test_sector_coupling_gate_raises_on_labelled_chain_only():
     plain = unlabelled(st)
     tw = mpdo.apply_super_gate(plain, gate, 2, 64, 1e-12)
     assert tw >= 0.0 and plain.charges is None
+
+
+def test_layers_check_each_distinct_gate_once(monkeypatch):
+    p = ModelParams(n_sites=8, **RATES)
+    st = mpdo.neel_mpdo(8, BASES[0])
+    gates = mpdo.build_trotter4_gates(p, st.basis, 0.1)
+    checked = []
+    check = kernels._check_gate_sectors
+
+    def counting_check(gate, site_parity, bond):
+        checked.append(id(gate))
+        check(gate, site_parity, bond)
+
+    monkeypatch.setattr(kernels, "_check_gate_sectors", counting_check)
+    mpdo.trotter4_step(st, gates, 16, 1e-12)
+    mpdo.trotter4_step(unlabelled(st), gates, 16, 1e-12)
+    distinct = {id(g) for table in gates.values() for g in table}
+    assert sorted(checked) == sorted(distinct)
+
+
+def test_sector_coupling_gate_in_a_layer_raises_before_any_update():
+    p = ModelParams(n_sites=6, **RATES)
+    st = evolve(mpdo.neel_mpdo(6, BASES[0]), p, 0.2, 1, chi=64, cutoff=1e-12)
+    gates = mpdo.build_trotter4_gates(p, st.basis, 0.2)
+    bad = np.random.default_rng(3).standard_normal((16, 16))
+    gates[2] = [bad if b == 3 else g for b, g in enumerate(gates[2])]
+    before = st.copy()
+    with pytest.raises(ValueError, match=r"bond 3 .*off-block entry \d"):
+        mpdo.trotter4_step(st, gates, 64, 1e-12)
+    assert all(np.array_equal(a, b) for a, b in zip(st.tensors, before.tensors))
 
 
 def test_kernel_returns_labels_last():

@@ -151,3 +151,82 @@ def test_operator_entanglement_grows_then_reads_consistently():
     s_ba = mpdo.operator_entanglement(st, 1)
     assert 0.0 < s_ab <= np.log2(64)
     assert 0.0 < s_ba <= np.log2(64)
+
+
+# -- charge labels on the cell -----------------------------------------------
+
+def labelled_cell(basis, steps, dt=0.25, chi=64, cutoff=1e-10):
+    """Gain/loss/dephasing cell, reorthogonalized after every step."""
+    p = ModelParams(gamma_plus=0.3, gamma_minus=0.5, gamma_z=0.2)
+    st = mpdo.neel_mpdo(None, basis)
+    gates = mpdo.build_trotter4_gates(p, basis, dt)
+    for _ in range(steps):
+        mpdo.itebd_trotter4_step(st, gates, chi, cutoff)
+        mpdo.reorthogonalize(st, chi, cutoff)
+        mpdo.itebd_renormalize(st)
+    return st, gates
+
+
+@pytest.mark.parametrize("basis", [PAULI, linearized_basis()],
+                         ids=lambda b: b.flavor)
+def test_cell_blocks_hold_across_the_wrap(basis):
+    st, _ = labelled_cell(basis, 4)
+    q_ab, q_ba = st.charges
+    parity = basis.parities()
+    assert [len(q) for q in st.charges] == st.bond_dims()
+    assert set(q_ab.tolist()) == set(q_ba.tolist()) == {0, 1}
+    for gam, q_l, q_r in ((st.tensors[0], q_ba, q_ab),
+                          (st.tensors[1], q_ab, q_ba)):
+        odd = (q_l[:, None, None] + parity[None, :, None]
+               + q_r[None, None, :]) % 2 == 1
+        assert odd.any()
+        assert np.all(gam[odd] == 0.0)
+
+
+@pytest.mark.parametrize("basis", [PAULI, linearized_basis()],
+                         ids=lambda b: b.flavor)
+def test_labelled_cell_matches_unlabelled(basis):
+    p = ModelParams(gamma_plus=0.3, gamma_minus=0.5, gamma_z=0.2)
+    gates = mpdo.build_trotter4_gates(p, basis, 0.1)
+    lab = mpdo.neel_mpdo(None, basis)
+    plain = lab.copy()
+    plain.charges = None
+    for st in (lab, plain):
+        for _ in range(2):
+            mpdo.itebd_trotter4_step(st, gates, 256, 1e-13)
+            mpdo.reorthogonalize(st, 256, 1e-13)
+            mpdo.itebd_renormalize(st)
+    assert lab.charges is not None and plain.charges is None
+    assert lab.bond_dims() == plain.bond_dims()
+    assert max(lab.bond_dims()) > 16
+    for a, b in zip(lab.lambdas, plain.lambdas):
+        assert np.max(np.abs(np.sort(a) - np.sort(b))) <= 1e-10
+    assert np.max(np.abs(np.subtract(mpdo.itebd_sz(lab),
+                                     mpdo.itebd_sz(plain)))) <= 1e-10
+
+
+def test_off_block_fixed_point_raises():
+    st, _ = labelled_cell(PAULI, 2)
+    q_ab, q_ba = st.charges
+    parity = PAULI.parities()
+    odd = (q_ba[:, None, None] + parity[None, :, None]
+           + q_ab[None, None, :]) % 2 == 1
+    a, s, c = np.argwhere(odd)[0]
+    st.tensors[0][a, s, c] = 0.1 * np.max(np.abs(st.tensors[0]))
+    with pytest.raises(mpdo.DegenerateTransferError,
+                       match=r"Z2 charge sectors.*off-block entry \d"):
+        mpdo.reorthogonalize(st, 64, 1e-10)
+
+
+def test_labelled_cell_checkpoint_round_trip(tmp_path):
+    st, gates = labelled_cell(linearized_basis(), 2)
+    path = tmp_path / "cell.npz"
+    mpdo.save_checkpoint(path, st, t=0.5)
+    loaded, _, t = mpdo.load_checkpoint(path)
+    assert t == 0.5 and loaded.cell == "infinite"
+    assert all(np.array_equal(a, b) for a, b in zip(loaded.charges, st.charges))
+    for s in (st, loaded):
+        mpdo.itebd_trotter4_step(s, gates, 64, 1e-10)
+        mpdo.reorthogonalize(s, 64, 1e-10)
+    assert all(np.array_equal(a, b) for a, b in zip(loaded.tensors, st.tensors))
+    assert all(np.array_equal(a, b) for a, b in zip(loaded.charges, st.charges))
