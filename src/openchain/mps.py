@@ -16,7 +16,7 @@ __all__ = [
     "MpsState", "neel_mps", "product_mps",
     "apply_gate", "sweep", "canonicalize", "apply_site_op",
     "bond_entropy", "entropies", "local_expectation", "all_sz",
-    "check_canonical", "to_dense",
+    "sz_any_gauge", "check_canonical", "to_dense",
 ]
 
 
@@ -121,7 +121,14 @@ def _site_theta(state: MpsState, site):
 
 
 def local_expectation(state: MpsState, op, site):
-    """<psi|op_site|psi> assuming canonical form; returns the real part."""
+    """<psi|op_site|psi> / <psi|psi> of a canonical chain; the real part.
+
+    Reads the one-site theta lambda_{site-1} Gamma_site lambda_site, which
+    holds the whole expectation only in canonical form. Callers: the
+    trajectory recorder (through ``all_sz``) and the exact-jump-times scheme
+    (channel selection and ``apply_jump``). A chain in any other gauge is
+    read by ``sz_any_gauge``.
+    """
     th = _site_theta(state, site)
     val = np.einsum("asb,st,atb->", th.conj(), np.asarray(op, dtype=complex), th)
     nrm = np.einsum("asb,asb->", th.conj(), th)
@@ -129,8 +136,41 @@ def local_expectation(state: MpsState, op, site):
 
 
 def all_sz(state: MpsState):
+    """<sigma^z> of every site of a canonical chain (see local_expectation)."""
     sz = np.array([[1.0, 0.0], [0.0, -1.0]])
     return np.array([local_expectation(state, sz, i) for i in range(state.n_sites)])
+
+
+def sz_any_gauge(state: MpsState):
+    """<sigma^z> of every site over the chain's norm, in any gauge.
+
+    With A_k = Gamma_k lambda_k (the last site without lambda), suffix
+    transfer matrices R_k contract sites k..N-1 and a prefix L walks from
+    the left; site k reads tr(L_k^{sz} R_{k+1}) / tr(L_k^{1} R_{k+1}).
+    O(N chi^3), every contraction a 2-D matmul. Unlike all_sz it needs no
+    canonical form, so a chain after non-unitary gates is read as it stands.
+    """
+    n = state.n_sites
+    a = [g * lam.reshape(1, 1, -1) for g, lam in zip(state.gammas, state.lambdas)]
+    a.append(state.gammas[-1])
+    ac = [x.conj() for x in a]
+    # right[k][b, b']: sites k..n-1 contracted, ket index b and bra index b'
+    right = [None] * (n + 1)
+    right[n] = np.ones((1, 1))
+    for k in range(n - 1, 0, -1):
+        dl, d, dr = a[k].shape
+        z = a[k].reshape(dl * d, dr) @ right[k + 1]
+        right[k] = z.reshape(dl, d * dr) @ ac[k].reshape(dl, d * dr).T
+    sz = np.empty(n)
+    left = np.ones((1, 1))
+    for k in range(n):
+        dl, d, dr = a[k].shape
+        x = (left.T @ a[k].reshape(dl, d * dr)).reshape(dl * d, dr)
+        y = (x @ right[k + 1]).reshape(dl, d, dr)
+        up, down = (ac[k] * y).sum(axis=(0, 2)).real
+        sz[k] = (up - down) / (up + down)
+        left = x.T @ ac[k].reshape(dl * d, dr)
+    return sz
 
 
 def check_canonical(state: MpsState):

@@ -9,8 +9,12 @@ Two schemes:
   substeps landing exactly on jump and grid times), and the channel is drawn
   from the instantaneous <L^dag L> weights.
 * ``per-step-conditional``: first order in (rate * dt); handles arbitrary
-  rates. Each step applies non-Hermitian two-site gates (the effective
-  Hamiltonian including -i/2 L^dag L), then conditionally fires each channel.
+  rates (the first-order conditional unraveling, Daley, Adv. Phys. 63, 77
+  (2014)). Each step applies non-Hermitian two-site gates (the effective
+  Hamiltonian including -i/2 L^dag L), reads the channel weights from
+  ``mps.sz_any_gauge`` of the chain as the gates left it, conditionally
+  fires each channel, and then canonicalizes once, whether or not a jump
+  fired.
 
 A dense mirror of the conditional scheme (same RNG consumption, same gate
 products) lives here too so jump logs can be compared against the exact
@@ -92,12 +96,16 @@ def sample_jump_time(t_prev, r, n_sites, gamma):
 
 
 def channel_weights(state, jumps):
-    """<L^dag L> for every channel, from single-site expectations."""
+    """<L^dag L> for every channel of a canonical chain (exact-jump-times)."""
     return _weights_from_sz(mps.all_sz(state), jumps)
 
 
 def _weights_from_sz(sz, jumps):
-    """<L^dag L> for every channel from the site magnetizations ``sz``."""
+    """<L^dag L> for every channel from the site magnetizations ``sz``.
+
+    ``sz`` is indexed by site: an array over the chain, or a mapping that
+    holds the sites of ``jumps``.
+    """
     w = np.empty(len(jumps))
     for k, j in enumerate(jumps):
         if j.channel == "+":
@@ -121,12 +129,16 @@ def select_jump_channel(state, jumps, rng):
 
 
 def apply_jump(state, jump, chi, cutoff):
-    """Apply a jump operator and restore canonical form / normalization."""
+    """Apply a jump operator and restore canonical form / normalization.
+
+    The chain must be canonical; the jumped site's weight is read locally.
+    """
     if jump.channel == "z":
         # unitary and diagonal: Schmidt vectors are untouched
         mps.apply_site_op(state, SZ, jump.site)
         return
-    weight = channel_weights(state, [jump])[0] / jump.rate
+    sz = {jump.site: mps.local_expectation(state, SZ, jump.site)}
+    weight = _weights_from_sz(sz, [jump])[0] / jump.rate
     if weight < 1e-28:
         raise FloatingPointError(
             f"post-jump norm {np.sqrt(max(weight, 0.0)):.2e} below 1e-14 "
@@ -328,22 +340,13 @@ def _run_conditional(cfg: TrajectoryConfig, traj_index):
                                          cfg.chi, cfg.cutoff, transposed=transposed)
             state.norm_log += ln
             max_tw = max(max_tw, tw)
-        mps.canonicalize(state, cfg.chi, cfg.cutoff)
-        w = channel_weights(state, jumps)
+        w = _weights_from_sz(mps.sz_any_gauge(state), jumps)
         mask = conditional_jump_mask(w, h, rng)
-        if mask.any():
-            t_now = step * h
-            needs_canon = False
-            for k in np.flatnonzero(mask):
-                j = jumps[k]
-                if j.channel == "z":
-                    mps.apply_site_op(state, SZ, j.site)
-                else:
-                    mps.apply_site_op(state, j.matrix / np.sqrt(j.rate), j.site)
-                    needs_canon = True
-                jump_log.append((t_now, j.site, j.channel))
-            if needs_canon:
-                mps.canonicalize(state, cfg.chi, cfg.cutoff)
+        for k in np.flatnonzero(mask):
+            j = jumps[k]
+            mps.apply_site_op(state, j.matrix / np.sqrt(j.rate), j.site)
+            jump_log.append((step * h, j.site, j.channel))
+        mps.canonicalize(state, cfg.chi, cfg.cutoff)
         if step % rec_every == 0:
             rec.record(state, len(jump_log))
     return rec.done(cfg, jump_log, max_tw)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from openchain import mps, oracle
+from openchain import kernels, mps, oracle
 from openchain.analytics import two_spin_entropy
 from openchain.models import ModelParams, SZ, build_xxz_gate
+from openchain.trajectories import build_effective_gates
 
 P2 = ModelParams(n_sites=2)
 
@@ -107,3 +108,27 @@ def test_tebd_matches_dense_evolution():
     fidelity = abs(np.vdot(psi, mps.to_dense(st)))
     assert fidelity == pytest.approx(1.0, abs=1e-6)
     assert np.max(np.abs(mps.all_sz(st) - oracle.dense_sz_pure(psi))) <= 1e-4
+
+
+def test_sz_any_gauge_reads_a_non_canonical_chain():
+    # Neel chain after six sweep pairs of the strong-dissipation effective
+    # gates (half of dt = 0.05), never canonicalized
+    p = ModelParams(n_sites=10, gamma_plus=1.0, gamma_minus=2.0, gamma_z=0.5)
+    gates = build_effective_gates(p, 0.025)
+    st = mps.neel_mps(10)
+    for _ in range(6):
+        for transposed in (False, True):
+            kernels.sweep_chain(st.gammas, st.lambdas, gates, 64, 1e-10,
+                                transposed=transposed)
+    sz = mps.sz_any_gauge(st)
+    canon = st.copy()
+    mps.canonicalize(canon, 64, 0.0)
+    assert np.max(np.abs(sz - mps.all_sz(canon))) <= 1e-12
+    vec = mps.to_dense(st)
+    assert np.max(np.abs(sz - oracle.dense_sz_pure(vec / np.linalg.norm(vec)))) <= 1e-12
+    # the local read is wrong here, so the chain is really off canonical form
+    assert np.max(np.abs(mps.all_sz(st) - sz)) > 1e-6
+
+
+def test_sz_any_gauge_on_neel_is_exact():
+    assert mps.sz_any_gauge(mps.neel_mps(10)).tolist() == [1.0, -1.0] * 5

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from openchain import mps, oracle, trajectories as tj
+from openchain import kernels, mps, oracle, trajectories as tj
 from openchain.models import ModelParams, build_jump_ops, build_xxz_gate
 
 
@@ -198,6 +198,24 @@ def test_scheme_b_jump_log_matches_dense_mirror():
         jl, _, sz = tj.run_dense_conditional(cfg, idx)
         assert tr.jump_log == jl
         assert np.max(np.abs(tr.sz - sz)) <= 1e-10
+
+
+def test_conditional_scheme_canonicalizes_once_per_step(monkeypatch):
+    calls = []
+    canonicalize_chain = kernels.canonicalize_chain
+
+    def counted(*args, **kw):
+        calls.append(kw.get("start_bond", 0))
+        return canonicalize_chain(*args, **kw)
+
+    monkeypatch.setattr(kernels, "canonicalize_chain", counted)
+    p = ModelParams(n_sites=6, gamma_plus=1.0, gamma_minus=2.0, gamma_z=0.5)
+    cfg = tj.TrajectoryConfig(params=p, chi=16, cutoff=1e-10, dt_obs=0.25,
+                              t_max=0.5, seed=3, dt=0.05,
+                              scheme="per-step-conditional")
+    tr = tj.run_trajectory(cfg)
+    assert any(ch in "+-" for _, _, ch in tr.jump_log)
+    assert calls == [0] * 10
 
 
 def test_scheme_b_ensemble_matches_lindblad():
