@@ -13,17 +13,20 @@ new bond's charge labels last. Callers reach both through the module
 globals, which the tracer rebinds.
 
 Charge labels (Singh, Pfeifer & Vidal, PRB 83, 115125 (2011), with dense
-tensors and integer labels): a chain may carry ``charges``, one int array per
-bond holding the Z2 parity (0 or 1) of the part of the chain left of each
-bond index, and ``site_parity``, the parity of each physical index. Outer
-bonds of a finite chain have charge 0. A symmetric state has
-Gamma_k[a, s, c] = 0 unless q_a + p_s + q_c is even, so every theta is
-block-diagonal: its rows group by (q_l + p_s1) mod 2 and its columns by
-(p_s2 + q_r) mod 2. ``_split_theta`` SVDs each block, merges the spectra by
-a stable descending sort, applies the one truncation rule
-(``_keep_count``) to the merged spectrum and returns the kept values'
-groups as the new bond's labels. An unlabelled chain is one group: the SVD
-runs on theta itself and the arithmetic is that of a plain dense split.
+tensors and integer labels): a chain may carry ``ChainLabels``: ``charges``,
+one int array per bond holding the charge of the part of the chain left of
+each bond index, the charge of each physical index, and the chain's group.
+The MPDO and the infinite cell are Z2 (parities, modulus 2); the trajectory
+MPS is U(1) (the number of down spins, no modulus). The left outer bond of a
+finite chain has charge 0 and the right outer bond the chain's total charge
+(0 for the MPDO). A symmetric state has Gamma_k[a, s, c] = 0 unless
+q_a + p_s = q_c (mod 2 for Z2), so every theta is block-diagonal: its rows
+group by q_l + p_s1 and its columns by q_r - p_s2, and the groups are the
+charges that occur on both sides. ``_split_theta`` SVDs each block, merges
+the spectra by a stable descending sort, applies the one truncation rule
+(``_keep_count``) to the merged spectrum and returns the kept values' groups
+as the new bond's labels. An unlabelled chain is one group: the SVD runs on
+theta itself and the arithmetic is that of a plain dense split.
 
 Sweep conventions (shared by the pure-state and density-operator engines):
 bond ``b`` joins sites ``b`` and ``b + 1``. Every gate sweep and Trotter step
@@ -40,10 +43,13 @@ sweep is the layer of parity 0 then the layer of parity 1; a transposed sweep
 is the reverse, so it is the exact reverse-ordered product of the normal one.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 __all__ = [
     "JIT_ENABLED",
+    "ChainLabels",
     "LAMBDA_FLOOR",
     "bond_update",
     "bond_update_nogate",
@@ -88,32 +94,55 @@ def _merge_spectra(spectra, groups):
     return s[order], q[order]
 
 
-def _split_theta(theta, dl, d, dr, lam_l, lam_r, chi_max, cutoff, labels=None):
+def _group_indices(q, groups):
+    """Indices of the entries of ``q`` equal to each group, in order."""
+    order = np.argsort(q, kind="stable")
+    q = q[order]
+    starts = q.searchsorted(groups).tolist()
+    stops = q.searchsorted(groups, "right").tolist()
+    return [order[a:b] for a, b in zip(starts, stops)]
+
+
+def _sectors(labels, modulus):
+    """(groups, row indices, column indices) of a labelled theta's blocks.
+
+    Rows take the charge q_l + p_s and columns q_r - p_s, reduced by
+    ``modulus`` unless it is None; a group is a charge found on both sides.
+    """
+    q_l, site_q, q_r = labels
+    row_q = (q_l[:, None] + site_q[None, :]).ravel()
+    col_q = (q_r[None, :] - site_q[:, None]).ravel()
+    if modulus is not None:
+        row_q %= modulus
+        col_q %= modulus
+    groups = np.intersect1d(row_q, col_q)
+    return groups, _group_indices(row_q, groups), _group_indices(col_q, groups)
+
+
+def _split_theta(theta, dl, d, dr, lam_l, lam_r, chi_max, cutoff, labels=None,
+                 modulus=2):
     """SVD re-split of a two-site theta, truncating and rebuilding the gammas.
 
     theta is (dl*d, d*dr). Returns (gam_l, lam_new, gam_r, kept_norm,
     trunc_weight, q_new); the new lambda is normalized and the boundary
     lambdas are divided out of the returned gammas with a floor guard.
 
-    ``labels`` is None or (q_l, parity, q_r): the Z2 charges of the outer
-    bonds and of the physical index. Rows then fall into the groups
-    (q_l + parity) mod 2 and columns into (parity + q_r) mod 2; theta is zero
-    between different groups, so each group is gathered and SVD'd on its own.
-    The spectra are merged by a stable descending sort, truncated as one, and
-    q_new holds the group of every kept value. Without labels there is one
-    group, theta itself, and q_new is None.
+    ``labels`` is None or (q_l, site charge, q_r): the charges of the outer
+    bonds and of the physical index, in the group of ``modulus`` (2 for Z2,
+    None for U(1)). theta is zero between different groups (``_sectors``),
+    so each group is gathered and SVD'd on its own. The spectra are merged by
+    a stable descending sort, truncated as one, and q_new holds the group of
+    every kept value. Without labels there is one group, theta itself, and
+    q_new is None.
     """
     if labels is None:
         u, s, vh = np.linalg.svd(theta, full_matrices=False)
     else:
-        q_l, parity, q_r = labels
-        row_q = ((q_l[:, None] + parity[None, :]) % 2).ravel()
-        col_q = ((parity[:, None] + q_r[None, :]) % 2).ravel()
-        rows = [np.flatnonzero(row_q == g) for g in (0, 1)]
-        cols = [np.flatnonzero(col_q == g) for g in (0, 1)]
+        groups, rows, cols = _sectors(labels, modulus)
         blocks = [np.linalg.svd(theta.take(r, axis=0).take(c, axis=1),
                                 full_matrices=False) for r, c in zip(rows, cols)]
-        s, q = _merge_spectra([b[1] for b in blocks], (0, 1))
+        s, block_of = _merge_spectra([b[1] for b in blocks],
+                                     np.arange(len(blocks)))
     keep = _keep_count(s, chi_max, cutoff)
     w2 = 0.0
     for k in range(keep, s.shape[0]):
@@ -131,13 +160,15 @@ def _split_theta(theta, dl, d, dr, lam_l, lam_r, chi_max, cutoff, labels=None):
         u_keep, vh_keep, q_new = u[:, :keep], vh[:keep, :], None
     else:
         # a block's kept values are its leading ones, in order
-        q_new = q[:keep]
+        block_of = block_of[:keep]
+        q_new = groups[block_of]
         u_keep = np.zeros((dl * d, keep), dtype=theta.dtype)
         vh_keep = np.zeros((keep, d * dr), dtype=theta.dtype)
-        for g, (u, _, vh) in enumerate(blocks):
-            pos = np.flatnonzero(q_new == g)
-            u_keep[np.ix_(rows[g], pos)] = u[:, :len(pos)]
-            vh_keep[np.ix_(pos, cols[g])] = vh[:len(pos), :]
+        pos = np.argsort(block_of, kind="stable")   # kept positions by block
+        ends = np.cumsum(np.bincount(block_of, minlength=len(blocks))).tolist()
+        for r, c, (u, _, vh), k0, k1 in zip(rows, cols, blocks, [0] + ends, ends):
+            u_keep[np.ix_(r, pos[k0:k1])] = u[:, :k1 - k0]
+            vh_keep[np.ix_(pos[k0:k1], c)] = vh[:k1 - k0, :]
 
     inv_l = np.zeros(dl, dtype=np.float64)
     for a in range(dl):
@@ -168,7 +199,7 @@ def _assemble_theta(lam_l, gam_l, lam_c, gam_r, lam_r):
 
 
 def bond_update(lam_l, gam_l, lam_c, gam_r, lam_r, gate, chi_max, cutoff,
-                labels=None):
+                labels=None, modulus=2):
     """Gated two-site update: returns (gam_l, lam, gam_r, kept, tw, q_new)."""
     dl, d, _ = gam_l.shape
     dr = gam_r.shape[2]
@@ -179,16 +210,31 @@ def bond_update(lam_l, gam_l, lam_c, gam_r, lam_r, gate, chi_max, cutoff,
     th = gate @ th
     th = th.reshape(d, d, dl, dr)
     theta = np.ascontiguousarray(th.transpose(2, 0, 1, 3)).reshape(dl * d, d * dr)
-    return _split_theta(theta, dl, d, dr, lam_l, lam_r, chi_max, cutoff, labels)
+    return _split_theta(theta, dl, d, dr, lam_l, lam_r, chi_max, cutoff, labels,
+                        modulus)
 
 
 def bond_update_nogate(lam_l, gam_l, lam_c, gam_r, lam_r, chi_max, cutoff,
-                       labels=None):
+                       labels=None, modulus=2):
     """Gate-free two-site re-split (canonical-form restores); as bond_update."""
     dl, d, _ = gam_l.shape
     theta = _assemble_theta(lam_l, gam_l, lam_c, gam_r, lam_r)
     return _split_theta(theta, dl, d, gam_r.shape[2], lam_l, lam_r, chi_max,
-                        cutoff, labels)
+                        cutoff, labels, modulus)
+
+
+class ChainLabels(NamedTuple):
+    """Charge labels of a chain, as the bond kernel reads them.
+
+    ``charges`` is the per-bond list of int arrays, aligned with the lambdas
+    and updated in place with them; ``site`` holds the charge of each
+    physical index; ``modulus`` names the group (2 for Z2, None for U(1));
+    ``total`` is the charge of a finite chain's right outer bond.
+    """
+    charges: list
+    site: np.ndarray
+    modulus: int | None
+    total: int = 0
 
 
 _ONE = np.ones(1, dtype=np.float64)
@@ -200,18 +246,18 @@ _ZERO_CHARGE = np.zeros(1, dtype=np.int64)
 OFF_BLOCK_TOL = 1e-12
 
 
-def _boundary(lambdas, bond, n_sites, edge=_ONE):
+def _boundary(lambdas, bond, n_sites, edges=(_ONE, _ONE)):
     """(right site, left entry, right entry) of a per-bond list around ``bond``.
 
-    A finite chain's ends take ``edge``; a periodic cell's entries wrap around,
-    for lambdas and charge labels alike.
+    A finite chain's ends take ``edges`` (left, right); a periodic cell's
+    entries wrap around, for lambdas and charge labels alike.
     """
     n_bonds = len(lambdas)
     right = (bond + 1) % n_sites
     if n_bonds == n_sites:   # periodic cell: the outer lambdas wrap around
         return right, lambdas[bond - 1], lambdas[right]
-    lam_l = lambdas[bond - 1] if bond > 0 else edge
-    lam_r = lambdas[bond + 1] if bond < n_bonds - 1 else edge
+    lam_l = lambdas[bond - 1] if bond > 0 else edges[0]
+    lam_r = lambdas[bond + 1] if bond < n_bonds - 1 else edges[1]
     return right, lam_l, lam_r
 
 
@@ -221,19 +267,25 @@ def _off_block(m, q):
     return (float(off.max()) if off.size else 0.0), float(np.max(np.abs(m)))
 
 
-def _check_gate_sectors(gate, site_parity, bond):
-    """Raise ValueError if ``gate`` couples different pair-parity sectors."""
-    pair = ((site_parity[:, None] + site_parity[None, :]) % 2).ravel()
+def _check_gate_sectors(gate, labels, bond):
+    """Raise ValueError if ``gate`` couples different pair-charge sectors.
+
+    The pair charge p1 + p2 is reduced by the labels' modulus (Z2) or not
+    at all (U(1)).
+    """
+    pair = (labels.site[:, None] + labels.site[None, :]).ravel()
+    if labels.modulus is not None:
+        pair %= labels.modulus
     off_max, scale = _off_block(gate, pair)
     if off_max > OFF_BLOCK_TOL * scale:
+        group = "U(1)" if labels.modulus is None else f"Z{labels.modulus}"
         raise ValueError(
-            f"gate at bond {bond} couples Z2 charge sectors of a labelled "
-            f"chain: largest off-block entry {off_max:.3e} "
+            f"gate at bond {bond} couples {group} charge sectors of a "
+            f"labelled chain: largest off-block entry {off_max:.3e} "
             f"(max |gate| {scale:.3e}); the block SVD would drop it")
 
 
-def apply_bond_gate(tensors, lambdas, gate, bond, chi_max, cutoff,
-                    charges=None, site_parity=None):
+def apply_bond_gate(tensors, lambdas, gate, bond, chi_max, cutoff, labels=None):
     """Apply a two-site gate at ``bond`` in place; returns (log_norm, trunc_weight).
 
     ``gate`` may be None (identity, used for canonical-form restores). The
@@ -242,30 +294,28 @@ def apply_bond_gate(tensors, lambdas, gate, bond, chi_max, cutoff,
     overall scale (density operators). A vanishing kept norm raises
     FloatingPointError.
 
-    ``charges`` (one int array per bond, updated in place with ``lambdas``)
-    and ``site_parity`` (the Z2 parity of each physical index) label the
-    chain; the kernel then SVDs each charge block separately. A gate that
-    couples different pair-parity sectors of a labelled chain raises
-    ValueError.
+    ``labels`` (a ChainLabels, whose charges are updated in place with
+    ``lambdas``) labels the chain; the kernel then SVDs each charge block
+    separately. A gate that couples different pair-charge sectors of a
+    labelled chain raises ValueError.
     """
-    if gate is not None and charges is not None:
-        _check_gate_sectors(gate, site_parity, bond)
-    return _update_bond(tensors, lambdas, gate, bond, chi_max, cutoff, charges,
-                        site_parity)
+    if gate is not None and labels is not None:
+        _check_gate_sectors(gate, labels, bond)
+    return _update_bond(tensors, lambdas, gate, bond, chi_max, cutoff, labels)
 
 
-def _update_bond(tensors, lambdas, gate, bond, chi_max, cutoff, charges,
-                 site_parity):
+def _update_bond(tensors, lambdas, gate, bond, chi_max, cutoff, labels):
     """apply_bond_gate without the gate's sector check."""
     right, lam_l, lam_r = _boundary(lambdas, bond, len(tensors))
-    labels = None
-    if charges is not None:
-        _, q_l, q_r = _boundary(charges, bond, len(tensors), _ZERO_CHARGE)
-        labels = (q_l, site_parity, q_r)
+    block_labels, modulus = None, 2
+    if labels is not None:
+        edges = (_ZERO_CHARGE, np.full(1, labels.total, dtype=np.int64))
+        _, q_l, q_r = _boundary(labels.charges, bond, len(tensors), edges)
+        block_labels, modulus = (q_l, labels.site, q_r), labels.modulus
     if gate is None:
         gl, lam, gr, kept, tw, q = bond_update_nogate(
             lam_l, tensors[bond], lambdas[bond], tensors[right], lam_r,
-            chi_max, cutoff, labels)
+            chi_max, cutoff, block_labels, modulus)
     else:
         dtype = tensors[bond].dtype
         if gate.dtype != dtype:
@@ -276,43 +326,42 @@ def _update_bond(tensors, lambdas, gate, bond, chi_max, cutoff, charges,
                                 "gate flavor does not match the state")
         gl, lam, gr, kept, tw, q = bond_update(
             lam_l, tensors[bond], lambdas[bond], tensors[right], lam_r,
-            gate, chi_max, cutoff, labels)
+            gate, chi_max, cutoff, block_labels, modulus)
     tensors[bond] = gl
     tensors[right] = gr
     lambdas[bond] = lam
-    if charges is not None:
-        charges[bond] = q
+    if labels is not None:
+        labels.charges[bond] = q
     if kept <= 0.0:
         raise FloatingPointError(f"vanishing norm in bond update at bond {bond}")
     return float(np.log(kept)), float(tw)
 
 
-def apply_layers(tensors, lambdas, layers, chi_max, cutoff, charges=None,
-                 site_parity=None):
+def apply_layers(tensors, lambdas, layers, chi_max, cutoff, labels=None):
     """Apply gate layers in order; returns (log_norm, max_trunc_weight).
 
     ``layers`` is a sequence of ``(parity, gates)``: each layer applies
     ``gates[bond]`` at every bond of that parity, left to right. ``gates`` is
-    a per-bond list (entries may repeat the same matrix). ``charges`` and
-    ``site_parity`` are the optional labels of apply_bond_gate. On a labelled
-    chain each distinct gate matrix is checked for sector coupling once,
-    before any layer runs; the error names the bond of its first use.
+    a per-bond list (entries may repeat the same matrix). ``labels`` is the
+    optional ChainLabels of apply_bond_gate. On a labelled chain each
+    distinct gate matrix is checked for sector coupling once, before any
+    layer runs; the error names the bond of its first use.
     """
     n_bonds = len(lambdas)
-    if charges is not None:
+    if labels is not None:
         first_use = {}
         for parity, gates in layers:
             for bond in range(parity, n_bonds, 2):
                 if gates[bond] is not None:
                     first_use.setdefault(id(gates[bond]), (gates[bond], bond))
         for gate, bond in first_use.values():
-            _check_gate_sectors(gate, site_parity, bond)
+            _check_gate_sectors(gate, labels, bond)
     log_norm = 0.0
     max_tw = 0.0
     for parity, gates in layers:
         for bond in range(parity, n_bonds, 2):
             ln, tw = _update_bond(tensors, lambdas, gates[bond], bond, chi_max,
-                                  cutoff, charges, site_parity)
+                                  cutoff, labels)
             log_norm += ln
             if tw > max_tw:
                 max_tw = tw
@@ -332,34 +381,39 @@ def sweep_bond_order(n_bonds, transposed):
     return odd + even
 
 
-def sweep_chain(tensors, lambdas, gates, chi_max, cutoff, transposed=False):
+def sweep_chain(tensors, lambdas, gates, chi_max, cutoff, transposed=False,
+                labels=None):
     """One gate sweep over the whole chain; returns (log_norm, max_trunc_weight).
 
-    ``gates`` is a per-bond list (entries may repeat the same matrix).
+    ``gates`` is a per-bond list (entries may repeat the same matrix);
+    ``labels`` is the optional ChainLabels of apply_bond_gate.
     """
     layers = [(1, gates), (0, gates)] if transposed else [(0, gates), (1, gates)]
-    return apply_layers(tensors, lambdas, layers, chi_max, cutoff)
+    return apply_layers(tensors, lambdas, layers, chi_max, cutoff, labels)
 
 
-def canonicalize_chain(tensors, lambdas, chi_max, cutoff, start_bond=0,
-                       charges=None, site_parity=None):
-    """Restore Vidal canonical form with a double identity sweep.
+def canonicalize_chain(tensors, lambdas, chi_max, cutoff, site=None,
+                       labels=None):
+    """Restore Vidal canonical form by identity bond updates; returns the log-norm.
 
-    A left-to-right pass (starting at ``start_bond``, for locality after a
-    single-site modification) left-orthonormalizes; the full right-to-left
-    pass then produces true Schmidt vectors at every bond. Exact up to the
-    requested truncation. Returns the accumulated log-norm. ``charges`` and
-    ``site_parity`` are the optional labels of apply_bond_gate.
+    Exact up to the requested truncation. Without ``site``, a left-to-right
+    pass left-orthonormalizes, then a right-to-left pass produces true
+    Schmidt vectors at every bond (2(N-1) updates). With ``site``, the chain
+    must be canonical but for that one site's tensor: a right-to-left pass
+    over bonds site-1 .. 0 makes them Schmidt bonds against the untouched
+    right part, then a left-to-right pass over bonds site .. N-2 does the
+    same for the rest (N-1 updates). ``labels`` is the optional ChainLabels
+    of apply_bond_gate.
     """
     n_bonds = len(lambdas)
+    if site is None:
+        order = [*range(n_bonds), *range(n_bonds - 1, -1, -1)]
+    else:
+        order = [*range(site - 1, -1, -1), *range(site, n_bonds)]
     log_norm = 0.0
-    for bond in range(start_bond, n_bonds):
+    for bond in order:
         ln, _ = apply_bond_gate(tensors, lambdas, None, bond, chi_max, cutoff,
-                                charges, site_parity)
-        log_norm += ln
-    for bond in range(n_bonds - 1, -1, -1):
-        ln, _ = apply_bond_gate(tensors, lambdas, None, bond, chi_max, cutoff,
-                                charges, site_parity)
+                                labels)
         log_norm += ln
     return log_norm
 

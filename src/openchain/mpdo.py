@@ -89,10 +89,10 @@ class MpdoState:
             [q.copy() for q in self.charges])
 
     def _labels(self):
-        """(charges, site parity) for the bond kernel; (None, None) if unlabelled."""
+        """The Z2 labels for the bond kernel, or None if unlabelled."""
         if self.charges is None:
-            return None, None
-        return self.charges, self.basis.parities()
+            return None
+        return kernels.ChainLabels(self.charges, self.basis.parities(), 2)
 
 
 def _coeffs(rho2, basis):
@@ -211,16 +211,14 @@ def mpdo_from_dense(rho, basis, chi=256, cutoff=1e-14):
 def apply_super_gate(state: MpdoState, gate, bond, chi, cutoff):
     """Two-site superoperator gate at ``bond``; returns the truncation weight."""
     ln, tw = kernels.apply_bond_gate(state.tensors, state.lambdas, gate, bond,
-                                     chi, cutoff, *state._labels())
+                                     chi, cutoff, state._labels())
     state.log_scale += ln
     return tw
 
 
 def canonicalize(state: MpdoState, chi, cutoff):
-    charges, site_parity = state._labels()
     state.log_scale += kernels.canonicalize_chain(
-        state.tensors, state.lambdas, chi, cutoff, charges=charges,
-        site_parity=site_parity)
+        state.tensors, state.lambdas, chi, cutoff, labels=state._labels())
 
 
 def operator_entanglement(state: MpdoState, bond):
@@ -349,7 +347,7 @@ def _run_trotter4(state: MpdoState, gates, n_gates, chi, cutoff):
         tables[frac] = list(table) * (n_bonds // n_gates)
     layers = [(parity, tables[frac]) for parity, frac in TROTTER4_LAYERS]
     ln, tw = kernels.apply_layers(state.tensors, state.lambdas, layers, chi,
-                                  cutoff, *state._labels())
+                                  cutoff, state._labels())
     state.log_scale += ln
     return tw
 

@@ -4,6 +4,17 @@ Gamma tensors have legs (left bond, physical=2, right bond); the chain reads
 gamma[0] . diag(lambda[0]) . gamma[1] . ... . gamma[N-1] with boundary bonds
 of dimension one. All gate application goes through the shared bond kernel
 in ``kernels``.
+
+Charge labels: the XXZ Hamiltonian conserves S^z, and the jumps sigma+ and
+sigma- move it by one. A chain may therefore carry U(1) ``charges``: one int
+array per bond, aligned with ``lambdas``, holding the number of down spins
+left of each bond index, with ``total_charge`` the number in the whole chain
+(the kernel's right outer bond). ``label_charges`` labels a product of basis
+states such as Neel; ``apply_gate``, ``sweep`` and ``canonicalize`` then keep
+the labels and the kernel SVDs one block per magnetization sector, and
+``apply_site_op`` shifts them by the op's charge. ``neel_mps`` and
+``product_mps`` return unlabelled chains (``charges`` None), on which any
+gate runs as one dense block.
 """
 
 from dataclasses import dataclass, field
@@ -13,7 +24,7 @@ import numpy as np
 from . import kernels
 
 __all__ = [
-    "MpsState", "neel_mps", "product_mps",
+    "MpsState", "neel_mps", "product_mps", "label_charges",
     "apply_gate", "sweep", "canonicalize", "apply_site_op",
     "bond_entropy", "entropies", "local_expectation", "all_sz",
     "sz_any_gauge", "check_canonical", "to_dense",
@@ -25,6 +36,9 @@ class MpsState:
     gammas: list = field(repr=False)   # rank-3 complex tensors
     lambdas: list = field(repr=False)  # N-1 descending normalized Schmidt vectors
     norm_log: float = 0.0              # accumulated log-norm removed by renormalization
+    # per-bond down-spin counts left of each bond index (U(1)), or None
+    charges: list = field(repr=False, default=None)
+    total_charge: int = 0              # down spins in the whole chain
 
     @property
     def n_sites(self):
@@ -41,7 +55,21 @@ class MpsState:
             gammas=[g.copy() for g in self.gammas],
             lambdas=[l.copy() for l in self.lambdas],
             norm_log=self.norm_log,
+            charges=None if self.charges is None else
+            [q.copy() for q in self.charges],
+            total_charge=self.total_charge,
         )
+
+    def _labels(self):
+        """The U(1) labels for the bond kernel, or None if unlabelled."""
+        if self.charges is None:
+            return None
+        return kernels.ChainLabels(self.charges, _SITE_CHARGE, None,
+                                   self.total_charge)
+
+
+# charge of each physical index: the number of down spins (up = 0, down = 1)
+_SITE_CHARGE = np.array([0, 1], dtype=np.int64)
 
 
 def product_mps(local_kets):
@@ -64,6 +92,24 @@ def neel_mps(n):
     return product_mps([up if i % 2 == 0 else down for i in range(n)])
 
 
+def label_charges(state: MpsState):
+    """Label a product of basis states (such as Neel) with U(1) charges, in place.
+
+    Every site must be a bond-dimension-1 up or down spin; raises ValueError
+    otherwise. Returns the state.
+    """
+    down = []
+    for k, g in enumerate(state.gammas):
+        nonzero = np.flatnonzero(g)
+        if g.shape != (1, 2, 1) or len(nonzero) != 1:
+            raise ValueError(f"site {k} is not a basis state of a product chain")
+        down.append(int(_SITE_CHARGE[nonzero[0]]))
+    left = np.cumsum(down)
+    state.charges = [np.array([q], dtype=np.int64) for q in left[:-1]]
+    state.total_charge = int(left[-1])
+    return state
+
+
 def apply_gate(state: MpsState, gate, bond, chi, cutoff):
     """Two-site gate at ``bond`` (in place); returns the truncation weight.
 
@@ -71,7 +117,7 @@ def apply_gate(state: MpsState, gate, bond, chi, cutoff):
     which keeps trajectory states normalized.
     """
     ln, tw = kernels.apply_bond_gate(
-        state.gammas, state.lambdas, gate, bond, chi, cutoff)
+        state.gammas, state.lambdas, gate, bond, chi, cutoff, state._labels())
     state.norm_log += ln
     return tw
 
@@ -80,25 +126,45 @@ def sweep(state: MpsState, gate, chi, cutoff, transposed=False):
     """One sweep of the same gate over all bonds; returns max truncation weight."""
     gates = [gate] * len(state.lambdas)
     ln, tw = kernels.sweep_chain(state.gammas, state.lambdas, gates, chi, cutoff,
-                                 transposed=transposed)
+                                 transposed=transposed, labels=state._labels())
     state.norm_log += ln
     return tw
 
 
-def canonicalize(state: MpsState, chi, cutoff, start_bond=0):
-    """Restore canonical form (and normalization) after a site modification."""
+def canonicalize(state: MpsState, chi, cutoff, site=None):
+    """Restore canonical form (and normalization).
+
+    With ``site``, the chain must be canonical but for that site's tensor
+    (after ``apply_site_op``), and N-1 bond updates restore it; without, the
+    full double pass runs (see ``kernels.canonicalize_chain``).
+    """
     state.norm_log += kernels.canonicalize_chain(
-        state.gammas, state.lambdas, chi, cutoff, start_bond=start_bond)
+        state.gammas, state.lambdas, chi, cutoff, site=site,
+        labels=state._labels())
 
 
 def apply_site_op(state: MpsState, op, site):
     """Apply a single-site operator to gamma[site]; no canonical-form repair.
 
     Safe on its own only for unitary diagonal ops (sz); anything else should
-    be followed by canonicalize().
+    be followed by canonicalize(). On a labelled chain the op must move the
+    charge by one amount (sigma+ by -1, sigma- by +1, a diagonal op by 0);
+    every bond charge right of the site and the total shift by it. An op that
+    mixes sectors, such as a Hadamard, raises ValueError.
     """
-    state.gammas[site] = np.einsum("st,atb->asb", np.asarray(op, dtype=complex),
-                                   state.gammas[site])
+    op = np.asarray(op, dtype=complex)
+    if state.charges is not None:
+        out_idx, in_idx = np.nonzero(op)
+        shifts = set((_SITE_CHARGE[out_idx] - _SITE_CHARGE[in_idx]).tolist())
+        if len(shifts) > 1:
+            raise ValueError(f"op at site {site} mixes U(1) charge sectors "
+                             f"(charge shifts {sorted(shifts)})")
+        shift = shifts.pop() if shifts else 0
+        if shift:
+            for bond in range(site, len(state.charges)):
+                state.charges[bond] = state.charges[bond] + shift
+            state.total_charge += shift
+    state.gammas[site] = np.einsum("st,atb->asb", op, state.gammas[site])
 
 
 def bond_entropy(state: MpsState, bond):

@@ -1,10 +1,12 @@
-"""Z2 charge labels of the finite MPDO and the block SVD of the bond kernel."""
+"""Charge labels and the block SVD of the bond kernel: Z2 on the MPDO, U(1)
+on the trajectory MPS."""
 
 import numpy as np
 import pytest
 
-from openchain import kernels, mpdo
-from openchain.models import ModelParams, linearized_basis, pauli_basis
+from openchain import kernels, mpdo, mps
+from openchain.models import ModelParams, build_xxz_gate, linearized_basis, \
+    pauli_basis
 from openchain.kernels import _keep_count
 
 BASES = [pauli_basis(), linearized_basis()]
@@ -216,3 +218,73 @@ def test_kernel_returns_labels_last():
     assert np.max(np.abs(out[1] - plain[1])) <= 1e-12
     gate = rng.standard_normal((16, 16))
     assert len(kernels.bond_update(*args, gate, 16, 1e-12)) == 6
+
+
+# -- U(1) labels of the trajectory MPS -------------------------------------------
+
+UP_KET, DOWN_KET = [1.0, 0.0], [0.0, 1.0]
+
+
+def u1_theta(rng, q_l, q_r):
+    """Random complex two-site theta that is zero between U(1) sectors."""
+    site = np.array([0, 1])
+    row_q = (q_l[:, None] + site[None, :]).ravel()
+    col_q = (q_r[None, :] - site[:, None]).ravel()
+    shape = (len(row_q), len(col_q))
+    theta = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return theta * (row_q[:, None] == col_q[None, :])
+
+
+def test_u1_split_equals_unlabelled_split_without_truncation():
+    rng = np.random.default_rng(21)
+    q_l = np.array([0, 1, 1, 2, 0, 1])
+    for q_r in (np.array([1, 2, 2, 3, 1, 0, 2]),   # an inner bond
+                np.array([3])):                     # a right outer bond, odd total
+        dl, dr = len(q_l), len(q_r)
+        theta = u1_theta(rng, q_l, q_r)
+        lam_l, lam_r = np.ones(dl), np.ones(dr)
+        plain = kernels._split_theta(theta, dl, 2, dr, lam_l, lam_r, 64, 0.0)
+        lab = kernels._split_theta(theta, dl, 2, dr, lam_l, lam_r, 64, 0.0,
+                                   (q_l, np.array([0, 1]), q_r), modulus=None)
+        nonzero = plain[1] > 1e-12
+        assert np.max(np.abs(lab[1] - plain[1][:len(lab[1])])) <= 1e-12
+        assert np.max(plain[1][len(lab[1]):], initial=0.0) <= 1e-12
+        assert len(lab[1]) >= nonzero.sum()
+        assert abs(lab[3] - plain[3]) <= 1e-12 and lab[4] == 0.0
+        rebuilt = (lab[0].reshape(dl * 2, -1) * lab[1][None, :]) \
+            @ lab[2].reshape(-1, 2 * dr)
+        assert np.max(np.abs(lab[3] * rebuilt - theta)) <= 1e-12
+        assert sorted(set(lab[5].tolist())) == sorted(
+            set((q_l[:, None] + [0, 1]).ravel()) & set((q_r[None, :] - [[0], [1]]).ravel()))
+
+
+def test_u1_chain_with_odd_total_matches_unlabelled_chain():
+    # five sites, three down spins: the last bond's right edge carries 3
+    kets = [UP_KET, DOWN_KET, DOWN_KET, UP_KET, DOWN_KET]
+    lab = mps.label_charges(mps.product_mps(kets))
+    plain = mps.product_mps(kets)
+    assert lab.total_charge == 3
+    assert [q.tolist() for q in lab.charges] == [[0], [1], [2], [2]]
+    gate = build_xxz_gate(ModelParams(n_sites=5, delta=0.7), 0.3)
+    for st in (lab, plain):
+        for transposed in (False, True, False, True):
+            mps.sweep(st, gate, 64, 0.0, transposed=transposed)
+    for a, b in zip(lab.lambdas, plain.lambdas):
+        assert np.max(np.abs(a - b[:len(a)])) <= 1e-12
+        assert np.max(b[len(a):], initial=0.0) <= 1e-12
+    vec_l = mps.to_dense(lab) * np.exp(lab.norm_log)
+    vec_p = mps.to_dense(plain) * np.exp(plain.norm_log)
+    assert np.max(np.abs(vec_l - vec_p)) <= 1e-12
+    assert abs(lab.norm_log - plain.norm_log) <= 1e-12
+
+
+def test_u1_gate_check_has_no_modulus():
+    # |uu> <-> |dd> keeps the pair parity but moves S^z by two
+    flip = np.eye(4, dtype=complex)
+    flip[[0, 3], [0, 3]] = 0.0
+    flip[0, 3] = flip[3, 0] = 1.0
+    lab = mps.label_charges(mps.product_mps([UP_KET, UP_KET]))
+    with pytest.raises(ValueError, match=r"bond 0 couples U\(1\) charge sectors"):
+        mps.apply_gate(lab, flip, 0, 8, 0.0)
+    z2 = kernels.ChainLabels([], np.array([0, 1]), 2)
+    kernels._check_gate_sectors(flip, z2, 0)   # the Z2 pair parity allows it

@@ -3,7 +3,7 @@ import pytest
 
 from openchain import kernels, mps, oracle
 from openchain.analytics import two_spin_entropy
-from openchain.models import ModelParams, SZ, build_xxz_gate
+from openchain.models import ModelParams, SM, SP, SZ, build_xxz_gate
 from openchain.trajectories import build_effective_gates
 
 P2 = ModelParams(n_sites=2)
@@ -132,3 +132,87 @@ def test_sz_any_gauge_reads_a_non_canonical_chain():
 
 def test_sz_any_gauge_on_neel_is_exact():
     assert mps.sz_any_gauge(mps.neel_mps(10)).tolist() == [1.0, -1.0] * 5
+
+
+def test_label_charges_counts_down_spins():
+    st = mps.label_charges(mps.neel_mps(6))
+    assert [q.tolist() for q in st.charges] == [[0], [1], [1], [2], [2]]
+    assert st.total_charge == 3
+    dup = st.copy()
+    assert dup.total_charge == 3
+    assert all(a is not b and np.array_equal(a, b)
+               for a, b in zip(dup.charges, st.charges))
+    assert mps.neel_mps(6).charges is None
+    with pytest.raises(ValueError, match="site 1"):
+        mps.label_charges(mps.product_mps([[1, 0], [1, 1]]))
+
+
+def test_site_ops_shift_labels_and_sector_mixing_op_raises():
+    st = mps.label_charges(mps.neel_mps(4))
+    mps.apply_site_op(st, SP, 1)         # down -> up at site 1
+    assert [q.tolist() for q in st.charges] == [[0], [0], [0]]
+    assert st.total_charge == 1
+    mps.apply_site_op(st, SM, 0)         # up -> down at site 0
+    assert [q.tolist() for q in st.charges] == [[1], [1], [1]]
+    assert st.total_charge == 2
+    mps.apply_site_op(st, SZ, 3)
+    assert st.total_charge == 2
+    before = st.copy()
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+    with pytest.raises(ValueError, match="site 2 mixes U\\(1\\) charge sectors"):
+        mps.apply_site_op(st, hadamard, 2)
+    assert np.array_equal(st.gammas[2], before.gammas[2])
+    assert st.total_charge == 2
+    # an unlabelled chain takes any op
+    mps.apply_site_op(mps.neel_mps(4), hadamard, 2)
+
+
+def random_canonical_chain(n, seed):
+    """A canonical N-site chain at full rank from random two-site unitaries."""
+    rng = np.random.default_rng(seed)
+    kets = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    st = mps.product_mps(list(kets))
+    for _ in range(3):
+        for bond in kernels.sweep_bond_order(n - 1, False):
+            m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            q, _ = np.linalg.qr(m)
+            mps.apply_gate(st, q, bond, 64, 0.0)
+    return st
+
+
+def test_single_site_restore_matches_the_double_pass():
+    n = 10
+    base = random_canonical_chain(n, 4)
+    assert base.bond_dims() == [2, 4, 8, 16, 32, 16, 8, 4, 2]
+    op = np.array([[0.9, 0.3 - 0.2j], [0.1j, 0.4]])
+    for site in range(n):
+        local, full = base.copy(), base.copy()
+        for st in (local, full):
+            mps.apply_site_op(st, op, site)
+        mps.canonicalize(local, 64, 0.0, site=site)
+        mps.canonicalize(full, 64, 0.0)
+        assert local.bond_dims() == full.bond_dims()
+        for a, b in zip(local.lambdas, full.lambdas):
+            assert np.max(np.abs(a - b)) <= 1e-12
+        assert abs(local.norm_log - full.norm_log) <= 1e-12
+        assert np.max(np.abs(mps.all_sz(local) - mps.all_sz(full))) <= 1e-12
+        vec_l = mps.to_dense(local) * np.exp(local.norm_log)
+        vec_f = mps.to_dense(full) * np.exp(full.norm_log)
+        assert np.max(np.abs(vec_l - vec_f)) <= 1e-12
+        assert mps.check_canonical(local) <= 1e-12
+
+
+def test_single_site_restore_takes_n_minus_one_updates(monkeypatch):
+    bonds = []
+    update = kernels.apply_bond_gate
+
+    def counted(tensors, lambdas, gate, bond, *args):
+        bonds.append(bond)
+        return update(tensors, lambdas, gate, bond, *args)
+
+    monkeypatch.setattr(kernels, "apply_bond_gate", counted)
+    st = random_canonical_chain(6, 2)
+    bonds.clear()
+    mps.apply_site_op(st, SP, 3)
+    mps.canonicalize(st, 64, 0.0, site=3)
+    assert bonds == [2, 1, 0, 3, 4]

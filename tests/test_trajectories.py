@@ -233,6 +233,42 @@ def test_scheme_b_ensemble_matches_lindblad():
         assert np.all(err <= bound), (k, err, bound)
 
 
+def run_capturing_state(monkeypatch, cfg, labeller):
+    """Run cfg with mps.label_charges replaced by ``labeller``; (trace, state)."""
+    seen = []
+
+    def capture(state):
+        seen.append(state)
+        return labeller(state)
+
+    monkeypatch.setattr(mps, "label_charges", capture)
+    tr = tj.run_trajectory(cfg)
+    return tr, seen[0]
+
+
+def test_exact_scheme_labels_match_the_unlabelled_run(monkeypatch):
+    p = ModelParams(n_sites=10, gamma_plus=0.3, gamma_minus=0.3)
+    cfg = tj.TrajectoryConfig(params=p, chi=64, cutoff=0.0, dt_obs=0.25,
+                              t_max=2.0, seed=1, dt=0.05)
+    tr, st = run_capturing_state(monkeypatch, cfg, mps.label_charges)
+    plain_tr, plain = run_capturing_state(monkeypatch, cfg, lambda s: s)
+    assert st.charges is not None and plain.charges is None
+    assert {ch for _, _, ch in tr.jump_log} == {"+", "-"}
+    assert tr.jump_log == plain_tr.jump_log
+    assert np.max(np.abs(tr.sz - plain_tr.sz)) <= 1e-10
+    assert np.max(np.abs(tr.bond_entropies - plain_tr.bond_entropies)) <= 1e-10
+    assert np.max(np.abs(tr.s_center - plain_tr.s_center)) <= 1e-10
+    # every Gamma entry outside its sector q_left + s = q_right is exactly 0
+    edges = [np.zeros(1, dtype=np.int64)] + st.charges + \
+        [np.array([st.total_charge])]
+    for k, gam in enumerate(st.gammas):
+        off = (edges[k][:, None, None] + np.arange(2)[None, :, None]
+               != edges[k + 1][None, None, :])
+        assert off.any()
+        assert np.all(gam[off] == 0.0)
+    assert abs(st.total_charge - np.sum(1.0 - tr.sz[-1]) / 2) <= 1e-10
+
+
 def test_exact_scheme_requires_balanced_rates():
     p = ModelParams(n_sites=4, gamma_plus=0.1, gamma_minus=0.4)
     with pytest.raises(ValueError):
