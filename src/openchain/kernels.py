@@ -12,14 +12,24 @@ and ``bond_update_nogate``, which return the new lambda at index 1 and the
 new bond's charge labels last. Callers reach both through the module
 globals, which the tracer rebinds.
 
+The chain (``Chain``): Gamma tensors and per-bond Schmidt vectors in Vidal
+form, the same type for the pure state (physical dimension 2) and the
+vectorized density operator (dimension 4), finite chain or periodic cell.
+The object is exp(``log_scale``) times the network; every kernel entry point
+(``apply_bond_gate``, ``apply_layers``, ``sweep_chain``,
+``canonicalize_chain``) updates the chain in place, divides the kept norm of
+each bond update out of it and adds the summed log of those norms to
+``log_scale`` once per call.
+
 Charge labels (Singh, Pfeifer & Vidal, PRB 83, 115125 (2011), with dense
-tensors and integer labels): a chain may carry ``ChainLabels``: ``charges``,
-one int array per bond holding the charge of the part of the chain left of
-each bond index, the charge of each physical index, and the chain's group.
-The MPDO and the infinite cell are Z2 (parities, modulus 2); the trajectory
-MPS is U(1) (the number of down spins, no modulus). The left outer bond of a
-finite chain has charge 0 and the right outer bond the chain's total charge
-(0 for the MPDO). A symmetric state has Gamma_k[a, s, c] = 0 unless
+tensors and integer labels) are read from the chain: ``charges``, one int
+array per bond holding the charge of the part of the chain left of each bond
+index (None: unlabelled), ``site_charge``, the charge of each physical index,
+and ``modulus``, the group. The MPDO and the infinite cell are Z2 (parities,
+modulus 2); the trajectory MPS is U(1) (the number of down spins, no
+modulus). The engines' constructors set them. The left outer bond of a
+finite chain has charge 0 and the right outer bond ``total_charge`` (0 for
+the MPDO). A symmetric state has Gamma_k[a, s, c] = 0 unless
 q_a + p_s = q_c (mod 2 for Z2), so every theta is block-diagonal: its rows
 group by q_l + p_s1 and its columns by q_r - p_s2, and the groups are the
 charges that occur on both sides. ``_split_theta`` SVDs each block, merges
@@ -34,22 +44,23 @@ runs through one layer executor, ``apply_layers``, which takes a list of
 ``(parity, per-bond gate table)`` layers and applies ``table[b]`` at each bond
 ``b`` of that parity. Bonds of one parity share no site, so the order within a
 layer does not change the arithmetic. A chain with as many bonds as sites is a
-periodic cell (the infinite-chain unit cell): its last bond wraps around to
-site 0, and the outer lambdas and charge labels of every bond update wrap
-with it, so a labelled cell takes the same block SVD as a finite chain. A
-labelled chain's gates are checked for sector coupling once per distinct
-gate matrix in each ``apply_layers`` call, before any layer runs. A normal
-sweep is the layer of parity 0 then the layer of parity 1; a transposed sweep
-is the reverse, so it is the exact reverse-ordered product of the normal one.
+periodic cell (``Chain.cell``, the infinite-chain unit cell): its last bond
+wraps around to site 0, and the outer lambdas and charge labels of every bond
+update wrap with it, so a labelled cell takes the same block SVD as a finite
+chain. A labelled chain's gates are checked for sector coupling once per
+distinct gate matrix in each ``apply_layers`` call, before any layer runs. A
+normal sweep is the layer of parity 0 then the layer of parity 1; a
+transposed sweep is the reverse, so it is the exact reverse-ordered product
+of the normal one.
 """
 
-from typing import NamedTuple
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 __all__ = [
     "JIT_ENABLED",
-    "ChainLabels",
+    "Chain",
     "LAMBDA_FLOOR",
     "bond_update",
     "bond_update_nogate",
@@ -121,11 +132,11 @@ def _sectors(labels, modulus):
 
 def _split_theta(theta, dl, d, dr, lam_l, lam_r, chi_max, cutoff, labels=None,
                  modulus=2):
-    """SVD re-split of a two-site theta, truncating and rebuilding the gammas.
+    """SVD re-split of a two-site theta, truncating and rebuilding the Gammas.
 
     theta is (dl*d, d*dr). Returns (gam_l, lam_new, gam_r, kept_norm,
     trunc_weight, q_new); the new lambda is normalized and the boundary
-    lambdas are divided out of the returned gammas with a floor guard.
+    lambdas are divided out of the returned Gammas with a floor guard.
 
     ``labels`` is None or (q_l, site charge, q_r): the charges of the outer
     bonds and of the physical index, in the group of ``modulus`` (2 for Z2,
@@ -144,13 +155,10 @@ def _split_theta(theta, dl, d, dr, lam_l, lam_r, chi_max, cutoff, labels=None,
         s, block_of = _merge_spectra([b[1] for b in blocks],
                                      np.arange(len(blocks)))
     keep = _keep_count(s, chi_max, cutoff)
-    w2 = 0.0
-    for k in range(keep, s.shape[0]):
-        w2 += s[k] * s[k]
-    kept2 = 0.0
-    for k in range(keep):
-        kept2 += s[k] * s[k]
-    kept = np.sqrt(kept2)
+    # running sums add in order; np.sum adds pairwise and rounds differently
+    s2 = s * s
+    kept = np.sqrt(np.cumsum(s2[:keep])[-1])
+    w2 = np.cumsum(s2[keep:])[-1] if keep < len(s) else 0.0
     if kept > 0.0:
         lam_new = s[:keep] / kept
     else:
@@ -170,20 +178,16 @@ def _split_theta(theta, dl, d, dr, lam_l, lam_r, chi_max, cutoff, labels=None,
             u_keep[np.ix_(r, pos[k0:k1])] = u[:, :k1 - k0]
             vh_keep[np.ix_(pos[k0:k1], c)] = vh[:k1 - k0, :]
 
-    inv_l = np.zeros(dl, dtype=np.float64)
-    for a in range(dl):
-        if lam_l[a] > LAMBDA_FLOOR:
-            inv_l[a] = 1.0 / lam_l[a]
-    inv_r = np.zeros(dr, dtype=np.float64)
-    for b in range(dr):
-        if lam_r[b] > LAMBDA_FLOOR:
-            inv_r[b] = 1.0 / lam_r[b]
-
     gam_l = np.ascontiguousarray(u_keep).reshape(dl, d, keep)
-    gam_l = gam_l * inv_l.reshape(dl, 1, 1)
+    gam_l = gam_l * _floored_inverse(lam_l).reshape(dl, 1, 1)
     gam_r = np.ascontiguousarray(vh_keep).reshape(keep, d, dr)
-    gam_r = gam_r * inv_r.reshape(1, 1, dr)
+    gam_r = gam_r * _floored_inverse(lam_r).reshape(1, 1, dr)
     return gam_l, lam_new, gam_r, kept, np.sqrt(w2), q_new
+
+
+def _floored_inverse(lam):
+    """1 / lam, with 0 where lam is at or below LAMBDA_FLOOR."""
+    return np.divide(1.0, lam, out=np.zeros(len(lam)), where=lam > LAMBDA_FLOOR)
 
 
 def _assemble_theta(lam_l, gam_l, lam_c, gam_r, lam_r):
@@ -223,18 +227,50 @@ def bond_update_nogate(lam_l, gam_l, lam_c, gam_r, lam_r, chi_max, cutoff,
                         cutoff, labels, modulus)
 
 
-class ChainLabels(NamedTuple):
-    """Charge labels of a chain, as the bond kernel reads them.
+@dataclass
+class Chain:
+    """A chain in Vidal form: the one state type of every engine.
 
-    ``charges`` is the per-bond list of int arrays, aligned with the lambdas
-    and updated in place with them; ``site`` holds the charge of each
-    physical index; ``modulus`` names the group (2 for Z2, None for U(1));
-    ``total`` is the charge of a finite chain's right outer bond.
+    ``tensors`` are the Gammas, legs (left bond, physical, right bond), and
+    ``lambdas`` the per-bond Schmidt vectors: N - 1 of them for a finite
+    chain, as many as tensors for a periodic cell. The object is
+    exp(``log_scale``) times the network. ``charges`` (None: unlabelled),
+    ``site_charge``, ``modulus`` and ``total_charge`` are the charge labels
+    of the module docstring; the engines' constructors set them, and the
+    kernel keeps ``charges`` aligned with ``lambdas``. ``basis`` is the
+    operator basis of a density operator (None for a pure state); the kernel
+    never reads it.
     """
-    charges: list
-    site: np.ndarray
-    modulus: int | None
-    total: int = 0
+    tensors: list = field(repr=False)
+    lambdas: list = field(repr=False)
+    log_scale: float = 0.0
+    charges: list = field(repr=False, default=None)
+    site_charge: np.ndarray = field(repr=False, default=None)
+    modulus: int | None = None
+    total_charge: int = 0
+    basis: object = field(repr=False, default=None)
+
+    @property
+    def n_sites(self):
+        return len(self.tensors)
+
+    @property
+    def cell(self):
+        """True for a periodic cell: as many bonds as sites."""
+        return len(self.lambdas) == len(self.tensors)
+
+    def bond_dims(self):
+        return [len(l) for l in self.lambdas]
+
+    def max_bond(self):
+        return max(self.bond_dims(), default=1)
+
+    def copy(self):
+        return replace(
+            self, tensors=[t.copy() for t in self.tensors],
+            lambdas=[l.copy() for l in self.lambdas],
+            charges=None if self.charges is None else
+            [q.copy() for q in self.charges])
 
 
 _ONE = np.ones(1, dtype=np.float64)
@@ -267,55 +303,57 @@ def _off_block(m, q):
     return (float(off.max()) if off.size else 0.0), float(np.max(np.abs(m)))
 
 
-def _check_gate_sectors(gate, labels, bond):
+def _check_gate_sectors(gate, chain, bond):
     """Raise ValueError if ``gate`` couples different pair-charge sectors.
 
-    The pair charge p1 + p2 is reduced by the labels' modulus (Z2) or not
+    The pair charge p1 + p2 is reduced by the chain's modulus (Z2) or not
     at all (U(1)).
     """
-    pair = (labels.site[:, None] + labels.site[None, :]).ravel()
-    if labels.modulus is not None:
-        pair %= labels.modulus
+    pair = (chain.site_charge[:, None] + chain.site_charge[None, :]).ravel()
+    if chain.modulus is not None:
+        pair %= chain.modulus
     off_max, scale = _off_block(gate, pair)
     if off_max > OFF_BLOCK_TOL * scale:
-        group = "U(1)" if labels.modulus is None else f"Z{labels.modulus}"
+        group = "U(1)" if chain.modulus is None else f"Z{chain.modulus}"
         raise ValueError(
             f"gate at bond {bond} couples {group} charge sectors of a "
             f"labelled chain: largest off-block entry {off_max:.3e} "
             f"(max |gate| {scale:.3e}); the block SVD would drop it")
 
 
-def apply_bond_gate(tensors, lambdas, gate, bond, chi_max, cutoff, labels=None):
-    """Apply a two-site gate at ``bond`` in place; returns (log_norm, trunc_weight).
+def apply_bond_gate(chain, gate, bond, chi_max, cutoff):
+    """Apply a two-site gate at ``bond`` in place; returns the truncation weight.
 
     ``gate`` may be None (identity, used for canonical-form restores). The
-    kept norm of the updated bond is divided out of the chain and returned as
-    a log so callers can track either discarded norm (trajectories) or the
-    overall scale (density operators). A vanishing kept norm raises
+    kept norm of the updated bond is divided out of the chain and its log
+    added to ``chain.log_scale``: trajectories track the discarded norm with
+    it, density operators the overall scale. A vanishing kept norm raises
     FloatingPointError.
 
-    ``labels`` (a ChainLabels, whose charges are updated in place with
-    ``lambdas``) labels the chain; the kernel then SVDs each charge block
-    separately. A gate that couples different pair-charge sectors of a
-    labelled chain raises ValueError.
+    On a labelled chain the kernel SVDs each charge block separately and
+    updates ``chain.charges``; a gate that couples different pair-charge
+    sectors raises ValueError.
     """
-    if gate is not None and labels is not None:
-        _check_gate_sectors(gate, labels, bond)
-    return _update_bond(tensors, lambdas, gate, bond, chi_max, cutoff, labels)
+    if gate is not None and chain.charges is not None:
+        _check_gate_sectors(gate, chain, bond)
+    ln, tw = _update_bond(chain, gate, bond, chi_max, cutoff)
+    chain.log_scale += ln
+    return tw
 
 
-def _update_bond(tensors, lambdas, gate, bond, chi_max, cutoff, labels):
-    """apply_bond_gate without the gate's sector check."""
+def _update_bond(chain, gate, bond, chi_max, cutoff):
+    """One bond update without the gate's sector check; (log_norm, tw)."""
+    tensors, lambdas = chain.tensors, chain.lambdas
     right, lam_l, lam_r = _boundary(lambdas, bond, len(tensors))
-    block_labels, modulus = None, 2
-    if labels is not None:
-        edges = (_ZERO_CHARGE, np.full(1, labels.total, dtype=np.int64))
-        _, q_l, q_r = _boundary(labels.charges, bond, len(tensors), edges)
-        block_labels, modulus = (q_l, labels.site, q_r), labels.modulus
+    block_labels = None
+    if chain.charges is not None:
+        edges = (_ZERO_CHARGE, np.full(1, chain.total_charge, dtype=np.int64))
+        _, q_l, q_r = _boundary(chain.charges, bond, len(tensors), edges)
+        block_labels = (q_l, chain.site_charge, q_r)
     if gate is None:
         gl, lam, gr, kept, tw, q = bond_update_nogate(
             lam_l, tensors[bond], lambdas[bond], tensors[right], lam_r,
-            chi_max, cutoff, block_labels, modulus)
+            chi_max, cutoff, block_labels, chain.modulus)
     else:
         dtype = tensors[bond].dtype
         if gate.dtype != dtype:
@@ -326,46 +364,46 @@ def _update_bond(tensors, lambdas, gate, bond, chi_max, cutoff, labels):
                                 "gate flavor does not match the state")
         gl, lam, gr, kept, tw, q = bond_update(
             lam_l, tensors[bond], lambdas[bond], tensors[right], lam_r,
-            gate, chi_max, cutoff, block_labels, modulus)
+            gate, chi_max, cutoff, block_labels, chain.modulus)
     tensors[bond] = gl
     tensors[right] = gr
     lambdas[bond] = lam
-    if labels is not None:
-        labels.charges[bond] = q
+    if chain.charges is not None:
+        chain.charges[bond] = q
     if kept <= 0.0:
         raise FloatingPointError(f"vanishing norm in bond update at bond {bond}")
     return float(np.log(kept)), float(tw)
 
 
-def apply_layers(tensors, lambdas, layers, chi_max, cutoff, labels=None):
-    """Apply gate layers in order; returns (log_norm, max_trunc_weight).
+def apply_layers(chain, layers, chi_max, cutoff):
+    """Apply gate layers in order, in place; returns the max truncation weight.
 
     ``layers`` is a sequence of ``(parity, gates)``: each layer applies
     ``gates[bond]`` at every bond of that parity, left to right. ``gates`` is
-    a per-bond list (entries may repeat the same matrix). ``labels`` is the
-    optional ChainLabels of apply_bond_gate. On a labelled chain each
+    a per-bond list (entries may repeat the same matrix). The summed log of
+    the kept norms is added to ``chain.log_scale``. On a labelled chain each
     distinct gate matrix is checked for sector coupling once, before any
     layer runs; the error names the bond of its first use.
     """
-    n_bonds = len(lambdas)
-    if labels is not None:
+    n_bonds = len(chain.lambdas)
+    if chain.charges is not None:
         first_use = {}
         for parity, gates in layers:
             for bond in range(parity, n_bonds, 2):
                 if gates[bond] is not None:
                     first_use.setdefault(id(gates[bond]), (gates[bond], bond))
         for gate, bond in first_use.values():
-            _check_gate_sectors(gate, labels, bond)
+            _check_gate_sectors(gate, chain, bond)
     log_norm = 0.0
     max_tw = 0.0
     for parity, gates in layers:
         for bond in range(parity, n_bonds, 2):
-            ln, tw = _update_bond(tensors, lambdas, gates[bond], bond, chi_max,
-                                  cutoff, labels)
+            ln, tw = _update_bond(chain, gates[bond], bond, chi_max, cutoff)
             log_norm += ln
             if tw > max_tw:
                 max_tw = tw
-    return log_norm, max_tw
+    chain.log_scale += log_norm
+    return max_tw
 
 
 def sweep_bond_order(n_bonds, transposed):
@@ -381,41 +419,38 @@ def sweep_bond_order(n_bonds, transposed):
     return odd + even
 
 
-def sweep_chain(tensors, lambdas, gates, chi_max, cutoff, transposed=False,
-                labels=None):
-    """One gate sweep over the whole chain; returns (log_norm, max_trunc_weight).
+def sweep_chain(chain, gates, chi_max, cutoff, transposed=False):
+    """One gate sweep over the whole chain; returns the max truncation weight.
 
-    ``gates`` is a per-bond list (entries may repeat the same matrix);
-    ``labels`` is the optional ChainLabels of apply_bond_gate.
+    ``gates`` is a per-bond list (entries may repeat the same matrix); the
+    chain is updated as by apply_layers.
     """
     layers = [(1, gates), (0, gates)] if transposed else [(0, gates), (1, gates)]
-    return apply_layers(tensors, lambdas, layers, chi_max, cutoff, labels)
+    return apply_layers(chain, layers, chi_max, cutoff)
 
 
-def canonicalize_chain(tensors, lambdas, chi_max, cutoff, site=None,
-                       labels=None):
-    """Restore Vidal canonical form by identity bond updates; returns the log-norm.
+def canonicalize_chain(chain, chi_max, cutoff, site=None):
+    """Restore Vidal canonical form by identity bond updates, in place.
 
-    Exact up to the requested truncation. Without ``site``, a left-to-right
+    Exact up to the requested truncation; the summed log of the kept norms
+    is added to ``chain.log_scale``. Without ``site``, a left-to-right
     pass left-orthonormalizes, then a right-to-left pass produces true
     Schmidt vectors at every bond (2(N-1) updates). With ``site``, the chain
     must be canonical but for that one site's tensor: a right-to-left pass
     over bonds site-1 .. 0 makes them Schmidt bonds against the untouched
     right part, then a left-to-right pass over bonds site .. N-2 does the
-    same for the rest (N-1 updates). ``labels`` is the optional ChainLabels
-    of apply_bond_gate.
+    same for the rest (N-1 updates).
     """
-    n_bonds = len(lambdas)
+    n_bonds = len(chain.lambdas)
     if site is None:
         order = [*range(n_bonds), *range(n_bonds - 1, -1, -1)]
     else:
         order = [*range(site - 1, -1, -1), *range(site, n_bonds)]
     log_norm = 0.0
     for bond in order:
-        ln, _ = apply_bond_gate(tensors, lambdas, None, bond, chi_max, cutoff,
-                                labels)
+        ln, _ = _update_bond(chain, None, bond, chi_max, cutoff)
         log_norm += ln
-    return log_norm
+    chain.log_scale += log_norm
 
 
 def schmidt_entropy(lam):

@@ -1,18 +1,21 @@
 """Matrix-product density operator engine.
 
-The vectorized density matrix is stored in Vidal form with physical dimension
-4 (the operator-basis index). In the pauli flavor all tensors are real
-float64. The represented operator is exp(log_scale) times the network, so
-lambda renormalization never loses the physical trace; the trace itself is
-pinned back to one after every Trotter step.
+The vectorized density matrix is a ``kernels.Chain`` with physical
+dimension 4 (the operator-basis index) and the chain's ``basis`` set. In the
+pauli flavor all tensors are real float64. The represented operator is
+exp(log_scale) times the network, so lambda renormalization never loses the
+physical trace; the trace itself is pinned back to one after every Trotter
+step. All gate application goes through the shared bond kernel; this module
+holds the physics: initial states, observables, the Trotter schedule and the
+infinite cell's gauge.
 
 Finite chains use gate sweeps over all bonds; the translation-invariant
-infinite chain keeps a two-site unit cell with tensors (A, B) and bonds
-lambdas[0] = (A,B) inside the cell, lambdas[1] = (B,A) between cells, and is
-periodically re-orthogonalized from the transfer-operator fixed points.
-``reorthogonalize`` and ``mpdo_from_dense`` split with the bond kernel's
-split and truncation rule, like every gate, so the floored division by
-lambdas lives only in the kernel.
+infinite chain keeps a two-site unit cell (``Chain.cell``) with tensors
+(A, B) and bonds lambdas[0] = (A,B) inside the cell, lambdas[1] = (B,A)
+between cells, and is periodically re-orthogonalized from the
+transfer-operator fixed points. ``reorthogonalize`` and ``mpdo_from_dense``
+split with the bond kernel's split and truncation rule, like every gate, so
+the floored division by lambdas lives only in the kernel.
 
 Charge labels: the XXZ Hamiltonian and the jumps sigma+, sigma-, sigma-z all
 commute with the Z2 map rho -> (prod sz) rho (prod sz), under which every
@@ -22,77 +25,37 @@ may therefore carry ``charges``: one int array per bond, aligned with
 ``lambdas``, holding the Z2 parity of the part of the chain left of each bond
 index (outer bonds of a finite chain count as 0; on the infinite cell the
 (B,A) bond carries the parity left of a cell boundary, which an even cell
-keeps the same in every cell). Every gate layer, canonicalization, single
-gate and ``reorthogonalize`` keeps them up to date, and the bond kernel then
-SVDs the two charge blocks of each theta separately; ``reorthogonalize``
-also takes its square roots and gauge SVD per block. ``neel_mpdo`` and
-``product_mpdo`` label their bonds, finite chain and cell alike, when every
-site has a definite parity and the total is even; otherwise, and for
-``mpdo_from_dense``, ``charges`` is None and the dense kernel runs (an
-unlabelled cell is one block). Checkpoints keep the labels:
-``save_checkpoint`` stores one ``charge_<k>`` array per bond of a labelled
-chain and ``load_checkpoint`` restores them (a file without them loads
-unlabelled).
-"""
+keeps the same in every cell). ``product_mpdo`` sets the chain's site
+charges to the basis parities and its modulus to 2. Every gate layer,
+canonicalization and ``reorthogonalize`` keeps the charges up to date, and
+the bond kernel then SVDs the two charge blocks of each theta separately;
+``reorthogonalize`` also takes its square roots and gauge SVD per block.
+``neel_mpdo`` and ``product_mpdo`` label their bonds, finite chain and cell
+alike, when every site has a definite parity and the total is even;
+otherwise, and for ``mpdo_from_dense``, ``charges`` is None and the dense
+kernel runs (an unlabelled cell is one block).
 
-import json
-from dataclasses import dataclass, field
+There is no checkpoint format: no run path saves or resumes a chain.
+"""
 
 import numpy as np
 
 from . import kernels
-from .models import ID2, ModelParams, OperatorBasis, SZ, build_super_gates, \
-    linearized_basis, pauli_basis
+from .models import ID2, ModelParams, SZ, build_super_gates, pauli_basis
 
 __all__ = [
-    "MpdoState", "DegenerateTransferError",
+    "DegenerateTransferError",
     "product_mpdo", "neel_mpdo", "mpdo_from_dense",
-    "apply_super_gate", "canonicalize", "operator_entanglement", "entropies",
+    "canonicalize", "operator_entanglement", "entropies",
     "trace", "local_expectation", "all_sz", "renormalize_trace",
     "TROTTER4_SEQUENCE", "TROTTER4_LAYERS", "build_trotter4_gates", "trotter4_step",
     "itebd_trotter4_step", "reorthogonalize", "itebd_trace_eigenvalue",
     "itebd_sz", "itebd_renormalize",
-    "save_checkpoint", "load_checkpoint",
 ]
 
 
 class DegenerateTransferError(RuntimeError):
     """Transfer-operator fixed point did not separate; try a smaller dt."""
-
-
-@dataclass
-class MpdoState:
-    tensors: list = field(repr=False)   # rank-3 (chi_l, 4, chi_r)
-    lambdas: list = field(repr=False)
-    basis: OperatorBasis = field(repr=False, default=None)
-    log_scale: float = 0.0
-    cell: str = "finite"                # "finite" | "infinite"
-    # per-bond Z2 labels, aligned with lambdas (finite chain and cell), or None
-    charges: list = field(repr=False, default=None)
-
-    @property
-    def n_sites(self):
-        return len(self.tensors)
-
-    def bond_dims(self):
-        return [len(l) for l in self.lambdas]
-
-    def max_bond(self):
-        return max(self.bond_dims(), default=1)
-
-    def copy(self):
-        return MpdoState(
-            tensors=[t.copy() for t in self.tensors],
-            lambdas=[l.copy() for l in self.lambdas],
-            basis=self.basis, log_scale=self.log_scale, cell=self.cell,
-            charges=None if self.charges is None else
-            [q.copy() for q in self.charges])
-
-    def _labels(self):
-        """The Z2 labels for the bond kernel, or None if unlabelled."""
-        if self.charges is None:
-            return None
-        return kernels.ChainLabels(self.charges, self.basis.parities(), 2)
 
 
 def _coeffs(rho2, basis):
@@ -105,9 +68,8 @@ def _coeffs(rho2, basis):
     return c
 
 
-def _product_charges(coeffs, basis):
+def _product_charges(coeffs, parity):
     """Bond labels of a product state, or None without definite even parity."""
-    parity = basis.parities()
     if parity is None:
         return None
     site_q = []
@@ -131,8 +93,10 @@ def product_mpdo(site_rhos, basis):
     coeffs = [_coeffs(r, basis) for r in site_rhos]
     tensors = [c.reshape(1, 4, 1) for c in coeffs]
     lambdas = [np.ones(1) for _ in range(len(tensors) - 1)]
-    return MpdoState(tensors=tensors, lambdas=lambdas, basis=basis,
-                     charges=_product_charges(coeffs, basis))
+    parity = basis.parities()
+    return kernels.Chain(tensors, lambdas,
+                         charges=_product_charges(coeffs, parity),
+                         site_charge=parity, modulus=2, basis=basis)
 
 
 _UP = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -148,7 +112,6 @@ def neel_mpdo(n, basis=None):
     basis = pauli_basis() if basis is None else basis
     if n is None:
         state = product_mpdo([_UP, _DOWN], basis)
-        state.cell = "infinite"
         state.lambdas = [np.ones(1), np.ones(1)]
         if state.charges is not None:
             state.charges.append(np.zeros(1, dtype=np.int64))
@@ -204,28 +167,18 @@ def mpdo_from_dense(rho, basis, chi=256, cutoff=1e-14):
             raise ValueError("pauli coefficients of a non-Hermitian operator")
         coefs = np.ascontiguousarray(coefs.real)
     tensors, lambdas, log_scale = _dense_to_vidal(coefs, 4, n, chi, cutoff)
-    return MpdoState(tensors=tensors, lambdas=lambdas, basis=basis,
-                     log_scale=log_scale)
+    return kernels.Chain(tensors, lambdas, log_scale=log_scale, basis=basis)
 
 
-def apply_super_gate(state: MpdoState, gate, bond, chi, cutoff):
-    """Two-site superoperator gate at ``bond``; returns the truncation weight."""
-    ln, tw = kernels.apply_bond_gate(state.tensors, state.lambdas, gate, bond,
-                                     chi, cutoff, state._labels())
-    state.log_scale += ln
-    return tw
+def canonicalize(state: kernels.Chain, chi, cutoff):
+    kernels.canonicalize_chain(state, chi, cutoff)
 
 
-def canonicalize(state: MpdoState, chi, cutoff):
-    state.log_scale += kernels.canonicalize_chain(
-        state.tensors, state.lambdas, chi, cutoff, labels=state._labels())
-
-
-def operator_entanglement(state: MpdoState, bond):
+def operator_entanglement(state: kernels.Chain, bond):
     return kernels.schmidt_entropy(state.lambdas[bond])
 
 
-def entropies(state: MpdoState):
+def entropies(state: kernels.Chain):
     return np.array([kernels.schmidt_entropy(l) for l in state.lambdas])
 
 
@@ -246,12 +199,12 @@ def _site_matrices(state, vec):
     return [np.tensordot(vec, t, axes=(0, 1)) for t in state.tensors]
 
 
-def trace(state: MpdoState):
+def trace(state: kernels.Chain):
     """Tr rho of a finite-chain MPDO (includes the tracked scale)."""
     return local_expectation(state, ID2, 0)
 
 
-def local_expectation(state: MpdoState, op, site):
+def local_expectation(state: kernels.Chain, op, site):
     """Tr(op_site rho) for a finite chain."""
     tvec = _trace_vector(state.basis)
     mats = _site_matrices(state, tvec)
@@ -263,7 +216,7 @@ def local_expectation(state: MpdoState, op, site):
     return float(np.real(acc[0, 0])) * float(np.exp(state.log_scale))
 
 
-def all_sz(state: MpdoState):
+def all_sz(state: kernels.Chain):
     """Tr(sz_i rho) for every site, via prefix/suffix contractions."""
     n = state.n_sites
     tmats = _site_matrices(state, _trace_vector(state.basis))
@@ -287,7 +240,7 @@ def all_sz(state: MpdoState):
     return out
 
 
-def renormalize_trace(state: MpdoState):
+def renormalize_trace(state: kernels.Chain):
     """Shift log_scale so Tr rho = 1 exactly; returns the trace beforehand."""
     t = trace(state)
     if t <= 0.0:
@@ -334,7 +287,7 @@ def build_trotter4_gates(p: ModelParams, basis, dt):
             for frac in _TROTTER4_FRACTIONS}
 
 
-def _run_trotter4(state: MpdoState, gates, n_gates, chi, cutoff):
+def _run_trotter4(state: kernels.Chain, gates, n_gates, chi, cutoff):
     """Run TROTTER4_LAYERS; every gate table must hold ``n_gates`` gates."""
     n_bonds = len(state.lambdas)
     tables = {}
@@ -346,13 +299,10 @@ def _run_trotter4(state: MpdoState, gates, n_gates, chi, cutoff):
                 f"expected {n_gates}")
         tables[frac] = list(table) * (n_bonds // n_gates)
     layers = [(parity, tables[frac]) for parity, frac in TROTTER4_LAYERS]
-    ln, tw = kernels.apply_layers(state.tensors, state.lambdas, layers, chi,
-                                  cutoff, state._labels())
-    state.log_scale += ln
-    return tw
+    return kernels.apply_layers(state, layers, chi, cutoff)
 
 
-def trotter4_step(state: MpdoState, gates, chi, cutoff):
+def trotter4_step(state: kernels.Chain, gates, chi, cutoff):
     """One step dt of the fourth-order decomposition on a finite chain.
 
     Runs the 25 fused layers of TROTTER4_LAYERS through the shared layer
@@ -366,7 +316,7 @@ def trotter4_step(state: MpdoState, gates, chi, cutoff):
 # infinite chain (two-site unit cell)
 # ----------------------------------------------------------------------------
 
-def itebd_trotter4_step(state: MpdoState, gates, chi, cutoff):
+def itebd_trotter4_step(state: kernels.Chain, gates, chi, cutoff):
     """Fourth-order step on the unit cell; returns the largest truncation weight.
 
     Runs TROTTER4_LAYERS with parity = cell bond (0 = (A,B), 1 = (B,A)).
@@ -437,7 +387,7 @@ def _charge_blocks(v_r, v_l, q):
     return [(g, idx) for g, idx in blocks if idx.size]
 
 
-def reorthogonalize(state: MpdoState, chi=None, cutoff=1e-14, tol=1e-10,
+def reorthogonalize(state: kernels.Chain, chi=None, cutoff=1e-14, tol=1e-10,
                     max_iter=4000):
     """Restore the canonical form of the infinite unit cell.
 
@@ -458,7 +408,7 @@ def reorthogonalize(state: MpdoState, chi=None, cutoff=1e-14, tol=1e-10,
     power iteration stalls or a labelled cell's fixed point couples charge
     sectors.
     """
-    if state.cell != "infinite":
+    if not state.cell:
         raise ValueError("reorthogonalize applies to infinite states")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
@@ -503,11 +453,10 @@ def reorthogonalize(state: MpdoState, chi=None, cutoff=1e-14, tol=1e-10,
     theta = cell_new.reshape(keep, 4, 4, keep)
     theta = theta * lam_ba_new[:, None, None, None]
     theta = theta * lam_ba_new[None, None, None, :]
-    labels = (None if q_ba is None else
-              (q_ba_new, state.basis.parities(), q_ba_new))
+    labels = None if q_ba is None else (q_ba_new, state.site_charge, q_ba_new)
     ga_new, lam_ab_new, gb_new, _, _, q_ab_new = kernels._split_theta(
         theta.reshape(keep * 4, 4 * keep), keep, 4, keep, lam_ba_new,
-        lam_ba_new, chi, cutoff, labels)
+        lam_ba_new, chi, cutoff, labels, state.modulus)
 
     if state.basis.flavor == "pauli":
         for arr in (ga_new, gb_new):
@@ -522,13 +471,13 @@ def reorthogonalize(state: MpdoState, chi=None, cutoff=1e-14, tol=1e-10,
     return state
 
 
-def _trace_transfer(state: MpdoState):
+def _trace_transfer(state: kernels.Chain):
     tvec = _trace_vector(state.basis)
     ma, mb = _site_matrices(state, tvec)
     return (ma * state.lambdas[0][None, :]) @ (mb * state.lambdas[1][None, :])
 
 
-def itebd_trace_eigenvalue(state: MpdoState):
+def itebd_trace_eigenvalue(state: kernels.Chain):
     """Leading eigenvalue of the cell's trace transfer matrix: Tr rho per cell."""
     evals = np.linalg.eigvals(_trace_transfer(state))
     eta = float(np.real(evals[np.argmax(np.abs(evals))]))
@@ -537,7 +486,7 @@ def itebd_trace_eigenvalue(state: MpdoState):
     return eta
 
 
-def itebd_renormalize(state: MpdoState):
+def itebd_renormalize(state: kernels.Chain):
     """Rescale the cell so the per-cell trace transfer eigenvalue is one."""
     eta = itebd_trace_eigenvalue(state)
     state.tensors[0] = state.tensors[0] / np.sqrt(eta)
@@ -545,7 +494,7 @@ def itebd_renormalize(state: MpdoState):
     return eta
 
 
-def itebd_sz(state: MpdoState):
+def itebd_sz(state: kernels.Chain):
     """(<sz_A>, <sz_B>) of the infinite chain from the trace fixed points."""
     tm = _trace_transfer(state)
     evals, vr = np.linalg.eig(tm)
@@ -562,52 +511,3 @@ def itebd_sz(state: MpdoState):
     za = l @ ((wa * state.lambdas[0][None, :]) @ (mb * state.lambdas[1][None, :])) @ r
     zb = l @ ((ma * state.lambdas[0][None, :]) @ (wb * state.lambdas[1][None, :])) @ r
     return float(np.real(za / norm)), float(np.real(zb / norm))
-
-
-# ----------------------------------------------------------------------------
-# checkpointing
-# ----------------------------------------------------------------------------
-
-def save_checkpoint(path, state: MpdoState, params: ModelParams = None, t=None):
-    """Self-describing .npz: tensors, lambdas, basis flavor, params, time.
-
-    A labelled chain also stores its charges, one ``charge_<k>`` per bond.
-    """
-    meta = {
-        "format": "openchain-mpdo-checkpoint",
-        "version": 1,
-        "cell": state.cell,
-        "basis": state.basis.flavor,
-        "n_sites": state.n_sites,
-        "log_scale": state.log_scale,
-        "time": t,
-        "params": None if params is None else {
-            "j": params.j, "delta": params.delta,
-            "gamma_plus": params.gamma_plus, "gamma_minus": params.gamma_minus,
-            "gamma_z": params.gamma_z, "n_sites": params.n_sites,
-        },
-    }
-    arrays = {"meta": np.bytes_(json.dumps(meta, sort_keys=True))}
-    for k, tsr in enumerate(state.tensors):
-        arrays[f"tensor_{k}"] = tsr
-    for k, lam in enumerate(state.lambdas):
-        arrays[f"lambda_{k}"] = lam
-    for k, q in enumerate(state.charges or ()):
-        arrays[f"charge_{k}"] = q
-    np.savez(path, **arrays)
-
-
-def load_checkpoint(path):
-    """Returns (MpdoState, params dict or None, time or None)."""
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode())
-        tensors = [data[f"tensor_{k}"] for k in range(meta["n_sites"])]
-        n_lams = meta["n_sites"] - 1 if meta["cell"] == "finite" else 2
-        lambdas = [data[f"lambda_{k}"] for k in range(n_lams)]
-        charges = ([data[f"charge_{k}"] for k in range(n_lams)]
-                   if "charge_0" in data.files else None)
-    basis = pauli_basis() if meta["basis"] == "pauli" else linearized_basis()
-    state = MpdoState(tensors=tensors, lambdas=lambdas, basis=basis,
-                      log_scale=meta["log_scale"], cell=meta["cell"],
-                      charges=charges)
-    return state, meta.get("params"), meta.get("time")

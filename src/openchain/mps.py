@@ -1,71 +1,35 @@
-"""Pure-state MPS in Vidal form: gammas plus per-bond Schmidt vectors.
+"""Pure-state MPS: a ``kernels.Chain`` with physical dimension 2.
 
-Gamma tensors have legs (left bond, physical=2, right bond); the chain reads
-gamma[0] . diag(lambda[0]) . gamma[1] . ... . gamma[N-1] with boundary bonds
-of dimension one. All gate application goes through the shared bond kernel
-in ``kernels``.
+Tensors have legs (left bond, physical=2, right bond); the chain reads
+Gamma[0] . diag(lambda[0]) . Gamma[1] . ... . Gamma[N-1] with boundary bonds
+of dimension one. The chain's ``log_scale`` is the log-norm that the bond
+kernel has divided out, which keeps trajectory states normalized. All gate
+application goes through the shared bond kernel in ``kernels``; this module
+holds the physics: initial states, observables and jumps.
 
 Charge labels: the XXZ Hamiltonian conserves S^z, and the jumps sigma+ and
 sigma- move it by one. A chain may therefore carry U(1) ``charges``: one int
 array per bond, aligned with ``lambdas``, holding the number of down spins
 left of each bond index, with ``total_charge`` the number in the whole chain
 (the kernel's right outer bond). ``label_charges`` labels a product of basis
-states such as Neel; ``apply_gate``, ``sweep`` and ``canonicalize`` then keep
-the labels and the kernel SVDs one block per magnetization sector, and
+states such as Neel and sets the chain's site charges (up 0, down 1) and its
+group (no modulus); ``sweep``, ``canonicalize`` and every kernel call then
+keep the labels and the kernel SVDs one block per magnetization sector, and
 ``apply_site_op`` shifts them by the op's charge. ``neel_mps`` and
 ``product_mps`` return unlabelled chains (``charges`` None), on which any
 gate runs as one dense block.
 """
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels
 
 __all__ = [
-    "MpsState", "neel_mps", "product_mps", "label_charges",
-    "apply_gate", "sweep", "canonicalize", "apply_site_op",
+    "neel_mps", "product_mps", "label_charges",
+    "sweep", "canonicalize", "apply_site_op",
     "bond_entropy", "entropies", "local_expectation", "all_sz",
     "sz_any_gauge", "check_canonical", "to_dense",
 ]
-
-
-@dataclass
-class MpsState:
-    gammas: list = field(repr=False)   # rank-3 complex tensors
-    lambdas: list = field(repr=False)  # N-1 descending normalized Schmidt vectors
-    norm_log: float = 0.0              # accumulated log-norm removed by renormalization
-    # per-bond down-spin counts left of each bond index (U(1)), or None
-    charges: list = field(repr=False, default=None)
-    total_charge: int = 0              # down spins in the whole chain
-
-    @property
-    def n_sites(self):
-        return len(self.gammas)
-
-    def bond_dims(self):
-        return [len(l) for l in self.lambdas]
-
-    def max_bond(self):
-        return max(self.bond_dims(), default=1)
-
-    def copy(self):
-        return MpsState(
-            gammas=[g.copy() for g in self.gammas],
-            lambdas=[l.copy() for l in self.lambdas],
-            norm_log=self.norm_log,
-            charges=None if self.charges is None else
-            [q.copy() for q in self.charges],
-            total_charge=self.total_charge,
-        )
-
-    def _labels(self):
-        """The U(1) labels for the bond kernel, or None if unlabelled."""
-        if self.charges is None:
-            return None
-        return kernels.ChainLabels(self.charges, _SITE_CHARGE, None,
-                                   self.total_charge)
 
 
 # charge of each physical index: the number of down spins (up = 0, down = 1)
@@ -74,13 +38,13 @@ _SITE_CHARGE = np.array([0, 1], dtype=np.int64)
 
 def product_mps(local_kets):
     """Bond-dimension-1 product state from a list of normalized 2-vectors."""
-    gammas = []
+    tensors = []
     for v in local_kets:
         v = np.asarray(v, dtype=complex)
         v = v / np.linalg.norm(v)
-        gammas.append(v.reshape(1, 2, 1))
-    lambdas = [np.ones(1) for _ in range(len(gammas) - 1)]
-    return MpsState(gammas=gammas, lambdas=lambdas)
+        tensors.append(v.reshape(1, 2, 1))
+    lambdas = [np.ones(1) for _ in range(len(tensors) - 1)]
+    return kernels.Chain(tensors, lambdas)
 
 
 def neel_mps(n):
@@ -92,59 +56,44 @@ def neel_mps(n):
     return product_mps([up if i % 2 == 0 else down for i in range(n)])
 
 
-def label_charges(state: MpsState):
+def label_charges(state: kernels.Chain):
     """Label a product of basis states (such as Neel) with U(1) charges, in place.
 
     Every site must be a bond-dimension-1 up or down spin; raises ValueError
     otherwise. Returns the state.
     """
     down = []
-    for k, g in enumerate(state.gammas):
+    for k, g in enumerate(state.tensors):
         nonzero = np.flatnonzero(g)
         if g.shape != (1, 2, 1) or len(nonzero) != 1:
             raise ValueError(f"site {k} is not a basis state of a product chain")
         down.append(int(_SITE_CHARGE[nonzero[0]]))
     left = np.cumsum(down)
     state.charges = [np.array([q], dtype=np.int64) for q in left[:-1]]
+    state.site_charge = _SITE_CHARGE
+    state.modulus = None
     state.total_charge = int(left[-1])
     return state
 
 
-def apply_gate(state: MpsState, gate, bond, chi, cutoff):
-    """Two-site gate at ``bond`` (in place); returns the truncation weight.
-
-    The kept norm after the SVD is divided out and accumulated in norm_log,
-    which keeps trajectory states normalized.
-    """
-    ln, tw = kernels.apply_bond_gate(
-        state.gammas, state.lambdas, gate, bond, chi, cutoff, state._labels())
-    state.norm_log += ln
-    return tw
-
-
-def sweep(state: MpsState, gate, chi, cutoff, transposed=False):
+def sweep(state: kernels.Chain, gate, chi, cutoff, transposed=False):
     """One sweep of the same gate over all bonds; returns max truncation weight."""
-    gates = [gate] * len(state.lambdas)
-    ln, tw = kernels.sweep_chain(state.gammas, state.lambdas, gates, chi, cutoff,
-                                 transposed=transposed, labels=state._labels())
-    state.norm_log += ln
-    return tw
+    return kernels.sweep_chain(state, [gate] * len(state.lambdas), chi, cutoff,
+                               transposed)
 
 
-def canonicalize(state: MpsState, chi, cutoff, site=None):
+def canonicalize(state: kernels.Chain, chi, cutoff, site=None):
     """Restore canonical form (and normalization).
 
     With ``site``, the chain must be canonical but for that site's tensor
     (after ``apply_site_op``), and N-1 bond updates restore it; without, the
     full double pass runs (see ``kernels.canonicalize_chain``).
     """
-    state.norm_log += kernels.canonicalize_chain(
-        state.gammas, state.lambdas, chi, cutoff, site=site,
-        labels=state._labels())
+    kernels.canonicalize_chain(state, chi, cutoff, site=site)
 
 
-def apply_site_op(state: MpsState, op, site):
-    """Apply a single-site operator to gamma[site]; no canonical-form repair.
+def apply_site_op(state: kernels.Chain, op, site):
+    """Apply a single-site operator to Gamma[site]; no canonical-form repair.
 
     Safe on its own only for unitary diagonal ops (sz); anything else should
     be followed by canonicalize(). On a labelled chain the op must move the
@@ -155,7 +104,8 @@ def apply_site_op(state: MpsState, op, site):
     op = np.asarray(op, dtype=complex)
     if state.charges is not None:
         out_idx, in_idx = np.nonzero(op)
-        shifts = set((_SITE_CHARGE[out_idx] - _SITE_CHARGE[in_idx]).tolist())
+        q = state.site_charge
+        shifts = set((q[out_idx] - q[in_idx]).tolist())
         if len(shifts) > 1:
             raise ValueError(f"op at site {site} mixes U(1) charge sectors "
                              f"(charge shifts {sorted(shifts)})")
@@ -164,20 +114,20 @@ def apply_site_op(state: MpsState, op, site):
             for bond in range(site, len(state.charges)):
                 state.charges[bond] = state.charges[bond] + shift
             state.total_charge += shift
-    state.gammas[site] = np.einsum("st,atb->asb", op, state.gammas[site])
+    state.tensors[site] = np.einsum("st,atb->asb", op, state.tensors[site])
 
 
-def bond_entropy(state: MpsState, bond):
+def bond_entropy(state: kernels.Chain, bond):
     """Von Neumann entropy in bits across ``bond``; 0 for bond dimension 1."""
     return kernels.schmidt_entropy(state.lambdas[bond])
 
 
-def entropies(state: MpsState):
+def entropies(state: kernels.Chain):
     return np.array([kernels.schmidt_entropy(l) for l in state.lambdas])
 
 
-def _site_theta(state: MpsState, site):
-    g = state.gammas[site]
+def _site_theta(state: kernels.Chain, site):
+    g = state.tensors[site]
     th = g.copy()
     if site > 0:
         th = th * state.lambdas[site - 1].reshape(-1, 1, 1)
@@ -186,7 +136,7 @@ def _site_theta(state: MpsState, site):
     return th
 
 
-def local_expectation(state: MpsState, op, site):
+def local_expectation(state: kernels.Chain, op, site):
     """<psi|op_site|psi> / <psi|psi> of a canonical chain; the real part.
 
     Reads the one-site theta lambda_{site-1} Gamma_site lambda_site, which
@@ -201,13 +151,13 @@ def local_expectation(state: MpsState, op, site):
     return float((val / nrm).real)
 
 
-def all_sz(state: MpsState):
+def all_sz(state: kernels.Chain):
     """<sigma^z> of every site of a canonical chain (see local_expectation)."""
     sz = np.array([[1.0, 0.0], [0.0, -1.0]])
     return np.array([local_expectation(state, sz, i) for i in range(state.n_sites)])
 
 
-def sz_any_gauge(state: MpsState):
+def sz_any_gauge(state: kernels.Chain):
     """<sigma^z> of every site over the chain's norm, in any gauge.
 
     With A_k = Gamma_k lambda_k (the last site without lambda), suffix
@@ -217,8 +167,8 @@ def sz_any_gauge(state: MpsState):
     canonical form, so a chain after non-unitary gates is read as it stands.
     """
     n = state.n_sites
-    a = [g * lam.reshape(1, 1, -1) for g, lam in zip(state.gammas, state.lambdas)]
-    a.append(state.gammas[-1])
+    a = [g * lam.reshape(1, 1, -1) for g, lam in zip(state.tensors, state.lambdas)]
+    a.append(state.tensors[-1])
     ac = [x.conj() for x in a]
     # right[k][b, b']: sites k..n-1 contracted, ket index b and bra index b'
     right = [None] * (n + 1)
@@ -239,12 +189,12 @@ def sz_any_gauge(state: MpsState):
     return sz
 
 
-def check_canonical(state: MpsState):
+def check_canonical(state: kernels.Chain):
     """Max deviation of the left/right canonical-form identities over all sites."""
     worst = 0.0
     n = state.n_sites
     for k in range(n):
-        g = state.gammas[k]
+        g = state.tensors[k]
         a = g * state.lambdas[k - 1].reshape(-1, 1, 1) if k > 0 else g
         left = np.einsum("asb,asc->bc", a.conj(), a)
         worst = max(worst, float(np.max(np.abs(left - np.eye(left.shape[0])))))
@@ -254,14 +204,14 @@ def check_canonical(state: MpsState):
     return worst
 
 
-def to_dense(state: MpsState, max_sites=14):
+def to_dense(state: kernels.Chain, max_sites=14):
     """Dense state vector (sites fused left to right); small chains only."""
     n = state.n_sites
     if n > max_sites:
         raise ValueError(f"refusing to densify {n} > {max_sites} sites")
-    vec = state.gammas[0]
+    vec = state.tensors[0]
     for k in range(1, n):
         lam = state.lambdas[k - 1]
         vec = vec * lam.reshape((1,) * (vec.ndim - 1) + (-1,))
-        vec = np.tensordot(vec, state.gammas[k], axes=(vec.ndim - 1, 0))
+        vec = np.tensordot(vec, state.tensors[k], axes=(vec.ndim - 1, 0))
     return vec.reshape(-1)

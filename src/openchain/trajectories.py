@@ -346,10 +346,8 @@ def _run_conditional(cfg: TrajectoryConfig, traj_index):
     rec.record(state, 0)
     for step in range(1, n_steps + 1):
         for transposed in (False, True):
-            ln, tw = kernels.sweep_chain(state.gammas, state.lambdas, gates,
-                                         cfg.chi, cfg.cutoff, transposed=transposed)
-            state.norm_log += ln
-            max_tw = max(max_tw, tw)
+            max_tw = max(max_tw, kernels.sweep_chain(
+                state, gates, cfg.chi, cfg.cutoff, transposed=transposed))
         w = _weights_from_sz(mps.sz_any_gauge(state), jumps)
         mask = conditional_jump_mask(w, h, rng)
         for k in np.flatnonzero(mask):

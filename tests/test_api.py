@@ -38,3 +38,31 @@ def test_every_import_is_used(name):
             imported |= {a.asname or a.name for a in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert imported - used - set(mod.__all__) == set()
+
+
+# Entry points that perfbench/measure.py and the per-layer metrics of
+# BENCHMARK.json read by name. The span tracer wraps only public functions
+# defined in the module that names them, so an alias or a method would drop
+# out of the traced run unnoticed.
+TRACED = {
+    "kernels": ["bond_update", "bond_update_nogate", "sweep_chain",
+                "canonicalize_chain"],
+    "mps": ["sweep", "canonicalize", "apply_site_op", "all_sz"],
+    "mpdo": ["trotter4_step", "itebd_trotter4_step", "reorthogonalize",
+             "canonicalize", "all_sz", "trace", "renormalize_trace",
+             "itebd_sz", "itebd_renormalize"],
+    "trajectories": ["run_trajectory", "run_ensemble", "channel_weights",
+                     "apply_jump", "build_effective_gates"],
+    "models": ["build_super_gates"],
+    "traces": ["write_csv", "write_json"],
+    "runner": ["run"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACED))
+def test_traced_entry_points_are_module_functions(name):
+    mod = importlib.import_module(f"openchain.{name}")
+    for attr in TRACED[name]:
+        obj = getattr(mod, attr, None)
+        assert inspect.isfunction(obj), attr
+        assert obj.__module__ == mod.__name__ and obj.__qualname__ == attr

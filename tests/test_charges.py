@@ -127,50 +127,14 @@ def test_labelled_run_matches_unlabelled_without_truncation(basis):
         assert np.max(np.abs(np.sort(a) - np.sort(b))) <= 1e-10
 
 
-def test_checkpoint_state_is_unlabelled_and_steps_alike(tmp_path):
-    """A checkpoint keeps the labels; the restored chain and an unlabelled
-    copy both step like the original."""
-    basis = BASES[1]
-    p = ModelParams(n_sites=6, **RATES)
-    st = evolve(mpdo.neel_mpdo(6, basis), p, 0.2, 1, chi=64, cutoff=0.0)
-    path = tmp_path / "ck.npz"
-    mpdo.save_checkpoint(path, st, p, 0.2)
-    loaded, _, _ = mpdo.load_checkpoint(path)
-    assert len(loaded.charges) == len(st.charges)
-    assert all(np.array_equal(a, b) for a, b in zip(loaded.charges, st.charges))
-    plain = unlabelled(st)
-    for s in (st, loaded, plain):
-        evolve(s, p, 0.2, 1, chi=64, cutoff=0.0)
-        mpdo.canonicalize(s, 64, 0.0)
-    assert loaded.charges is not None and plain.charges is None
-    for other in (loaded, plain):
-        assert st.bond_dims() == other.bond_dims()
-        assert np.max(np.abs(mpdo.all_sz(st) - mpdo.all_sz(other))) <= 1e-12
-        for a, b in zip(st.lambdas, other.lambdas):
-            assert np.max(np.abs(np.sort(a) - np.sort(b))) <= 1e-12
-
-
-def test_checkpoint_without_labels_loads_unlabelled(tmp_path):
-    p = ModelParams(n_sites=6, **RATES)
-    st = unlabelled(evolve(mpdo.neel_mpdo(6, BASES[0]), p, 0.2, 1, chi=64,
-                           cutoff=0.0))
-    path = tmp_path / "ck.npz"
-    mpdo.save_checkpoint(path, st, p, 0.2)
-    with np.load(path) as data:
-        assert not [k for k in data.files if k.startswith("charge_")]
-    loaded, _, _ = mpdo.load_checkpoint(path)
-    assert loaded.charges is None
-    assert all(np.array_equal(a, b) for a, b in zip(loaded.tensors, st.tensors))
-
-
 def test_sector_coupling_gate_raises_on_labelled_chain_only():
     p = ModelParams(n_sites=6, **RATES)
     st = evolve(mpdo.neel_mpdo(6, BASES[0]), p, 0.2, 1, chi=64, cutoff=1e-12)
     gate = np.random.default_rng(3).standard_normal((16, 16))
     with pytest.raises(ValueError, match=r"bond 2 .*off-block entry \d"):
-        mpdo.apply_super_gate(st.copy(), gate, 2, 64, 1e-12)
+        kernels.apply_bond_gate(st.copy(), gate, 2, 64, 1e-12)
     plain = unlabelled(st)
-    tw = mpdo.apply_super_gate(plain, gate, 2, 64, 1e-12)
+    tw = kernels.apply_bond_gate(plain, gate, 2, 64, 1e-12)
     assert tw >= 0.0 and plain.charges is None
 
 
@@ -272,10 +236,10 @@ def test_u1_chain_with_odd_total_matches_unlabelled_chain():
     for a, b in zip(lab.lambdas, plain.lambdas):
         assert np.max(np.abs(a - b[:len(a)])) <= 1e-12
         assert np.max(b[len(a):], initial=0.0) <= 1e-12
-    vec_l = mps.to_dense(lab) * np.exp(lab.norm_log)
-    vec_p = mps.to_dense(plain) * np.exp(plain.norm_log)
+    vec_l = mps.to_dense(lab) * np.exp(lab.log_scale)
+    vec_p = mps.to_dense(plain) * np.exp(plain.log_scale)
     assert np.max(np.abs(vec_l - vec_p)) <= 1e-12
-    assert abs(lab.norm_log - plain.norm_log) <= 1e-12
+    assert abs(lab.log_scale - plain.log_scale) <= 1e-12
 
 
 def test_u1_gate_check_has_no_modulus():
@@ -285,6 +249,7 @@ def test_u1_gate_check_has_no_modulus():
     flip[0, 3] = flip[3, 0] = 1.0
     lab = mps.label_charges(mps.product_mps([UP_KET, UP_KET]))
     with pytest.raises(ValueError, match=r"bond 0 couples U\(1\) charge sectors"):
-        mps.apply_gate(lab, flip, 0, 8, 0.0)
-    z2 = kernels.ChainLabels([], np.array([0, 1]), 2)
+        kernels.apply_bond_gate(lab, flip, 0, 8, 0.0)
+    z2 = kernels.Chain([], [], charges=[], site_charge=np.array([0, 1]),
+                       modulus=2)
     kernels._check_gate_sectors(flip, z2, 0)   # the Z2 pair parity allows it

@@ -85,3 +85,29 @@ def test_schmidt_entropy():
     assert kernels.schmidt_entropy(np.array([np.sqrt(0.5), np.sqrt(0.5)])) == \
         pytest.approx(1.0)
     assert kernels.schmidt_entropy(np.array([1.0, 0.0])) == 0.0
+
+
+def test_split_sums_and_inverses_match_the_scalar_loops():
+    """Running sums and the masked division round exactly as scalar loops."""
+    rng = np.random.default_rng(17)
+    for n in (1, 3, 40, 200):
+        for _ in range(20):
+            m = rng.standard_normal((n, n)) * rng.random(n) ** 6
+            lam = np.sort(rng.random(n) ** 12)[::-1]
+            lam[rng.random(n) < 0.2] = 0.0
+            s = np.linalg.svd(m, full_matrices=False)[1]   # as the kernel calls it
+            keep = kernels._keep_count(s, max(1, n // 2), 1e-8)
+            kept2 = w2 = 0.0
+            for k in range(len(s)):
+                if k < keep:
+                    kept2 += s[k] * s[k]
+                else:
+                    w2 += s[k] * s[k]
+            _, _, _, kept, tw, _ = kernels._split_theta(
+                m, n, 1, n, np.ones(n), np.ones(n), max(1, n // 2), 1e-8)
+            assert kept == np.sqrt(kept2) and tw == np.sqrt(w2)
+            inv = np.zeros(n)
+            for a in range(n):
+                if lam[a] > kernels.LAMBDA_FLOOR:
+                    inv[a] = 1.0 / lam[a]
+            assert np.array_equal(kernels._floored_inverse(lam), inv)

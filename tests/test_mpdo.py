@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from openchain import mpdo, oracle
+from openchain import kernels, mpdo, oracle
 from openchain.models import ModelParams, SX, SZ, build_super_gates, \
     linearized_basis, pauli_basis
 
@@ -38,7 +38,7 @@ def test_zero_step_super_gate_is_identity():
     before_sz = mpdo.all_sz(st)
     before_s = mpdo.entropies(st)
     for bond, g in enumerate(build_super_gates(p, PAULI, 0.0)):
-        mpdo.apply_super_gate(st, g, bond, 64, 1e-14)
+        kernels.apply_bond_gate(st, g, bond, 64, 1e-14)
     assert np.max(np.abs(mpdo.all_sz(st) - before_sz)) <= 1e-12
     assert np.max(np.abs(mpdo.entropies(st) - before_s)) <= 1e-12
 
@@ -168,17 +168,3 @@ def test_delta_sign_flip_leaves_entropies_unchanged():
     _, rn = oracle.dense_lindblad_evolve(oracle.neel_rho(4),
                                          ModelParams(delta=-1.0, **base), 1.5, 1.5)
     assert abs(oracle.dense_oe(rp[-1], 2) - oracle.dense_oe(rn[-1], 2)) <= 1e-8
-
-
-def test_checkpoint_roundtrip(tmp_path):
-    p = ModelParams(n_sites=4, gamma_z=0.5)
-    st = evolve(p, 0.1, 0.5)
-    path = tmp_path / "state.npz"
-    mpdo.save_checkpoint(path, st, params=p, t=0.5)
-    loaded, params, t = mpdo.load_checkpoint(path)
-    assert t == 0.5
-    assert params["gamma_z"] == 0.5
-    assert loaded.cell == "finite"
-    assert loaded.basis.flavor == "pauli"
-    assert np.max(np.abs(mpdo.all_sz(loaded) - mpdo.all_sz(st))) <= 1e-14
-    assert mpdo.trace(loaded) == pytest.approx(mpdo.trace(st), abs=1e-14)

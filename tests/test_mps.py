@@ -24,10 +24,10 @@ def test_neel_expectations_and_entropies():
 
 def test_identity_gate_is_noop():
     st = mps.neel_mps(4)
-    mps.apply_gate(st, build_xxz_gate(P2, 0.4), 1, 16, 1e-12)
+    kernels.apply_bond_gate(st, build_xxz_gate(P2, 0.4), 1, 16, 1e-12)
     before_sz = mps.all_sz(st)
     before_s = mps.entropies(st)
-    tw = mps.apply_gate(st, np.eye(4), 1, 16, 1e-12)
+    tw = kernels.apply_bond_gate(st, np.eye(4), 1, 16, 1e-12)
     assert tw <= 1e-12
     assert np.max(np.abs(mps.all_sz(st) - before_sz)) <= 1e-12
     assert np.max(np.abs(mps.entropies(st) - before_s)) <= 1e-12
@@ -36,7 +36,7 @@ def test_identity_gate_is_noop():
 def test_two_spin_populations_and_entropy():
     t = 1.3
     st = mps.neel_mps(2)
-    mps.apply_gate(st, build_xxz_gate(P2, t), 0, 8, 1e-14)
+    kernels.apply_bond_gate(st, build_xxz_gate(P2, t), 0, 8, 1e-14)
     assert mps.local_expectation(st, SZ, 0) == pytest.approx(np.cos(t), abs=1e-10)
     assert mps.bond_entropy(st, 0) == pytest.approx(two_spin_entropy(t), abs=1e-10)
     # populations of the reduced single spin
@@ -46,10 +46,10 @@ def test_two_spin_populations_and_entropy():
 
 def test_full_flip_resets_entropy():
     st = mps.neel_mps(2)
-    mps.apply_gate(st, build_xxz_gate(P2, np.pi), 0, 8, 1e-14)
+    kernels.apply_bond_gate(st, build_xxz_gate(P2, np.pi), 0, 8, 1e-14)
     assert mps.bond_entropy(st, 0) <= 1e-8
     st2 = mps.neel_mps(2)
-    mps.apply_gate(st2, build_xxz_gate(P2, np.pi / 2), 0, 8, 1e-14)
+    kernels.apply_bond_gate(st2, build_xxz_gate(P2, np.pi / 2), 0, 8, 1e-14)
     assert mps.bond_entropy(st2, 0) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -61,7 +61,7 @@ def test_bell_pair_entropy():
     bell[2, 2] = 1.0
     bell[3, 3] = -1.0  # any completion; column 0 is what acts on |uu>
     q, _ = np.linalg.qr(bell)
-    mps.apply_gate(st, q, 0, 8, 1e-14)
+    kernels.apply_bond_gate(st, q, 0, 8, 1e-14)
     assert mps.bond_entropy(st, 0) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -72,11 +72,11 @@ def test_norm_and_magnetization_over_many_gates():
     rng = np.random.default_rng(5)
     for _ in range(1000):
         bond = int(rng.integers(0, 5))
-        mps.apply_gate(st, gate, bond, 32, 1e-12)
+        kernels.apply_bond_gate(st, gate, bond, 32, 1e-12)
     for lam in st.lambdas:
         assert abs(np.sum(lam ** 2) - 1.0) <= 1e-10
     vec = mps.to_dense(st)
-    assert abs(np.linalg.norm(vec) * np.exp(st.norm_log) - 1.0) <= 1e-8
+    assert abs(np.linalg.norm(vec) * np.exp(st.log_scale) - 1.0) <= 1e-8
     assert abs(np.sum(mps.all_sz(st))) <= 1e-8
     assert np.all(mps.entropies(st) <= np.log2(32) + 1e-12)
 
@@ -118,8 +118,7 @@ def test_sz_any_gauge_reads_a_non_canonical_chain():
     st = mps.neel_mps(10)
     for _ in range(6):
         for transposed in (False, True):
-            kernels.sweep_chain(st.gammas, st.lambdas, gates, 64, 1e-10,
-                                transposed=transposed)
+            kernels.sweep_chain(st, gates, 64, 1e-10, transposed=transposed)
     sz = mps.sz_any_gauge(st)
     canon = st.copy()
     mps.canonicalize(canon, 64, 0.0)
@@ -161,7 +160,7 @@ def test_site_ops_shift_labels_and_sector_mixing_op_raises():
     hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
     with pytest.raises(ValueError, match="site 2 mixes U\\(1\\) charge sectors"):
         mps.apply_site_op(st, hadamard, 2)
-    assert np.array_equal(st.gammas[2], before.gammas[2])
+    assert np.array_equal(st.tensors[2], before.tensors[2])
     assert st.total_charge == 2
     # an unlabelled chain takes any op
     mps.apply_site_op(mps.neel_mps(4), hadamard, 2)
@@ -176,7 +175,7 @@ def random_canonical_chain(n, seed):
         for bond in kernels.sweep_bond_order(n - 1, False):
             m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             q, _ = np.linalg.qr(m)
-            mps.apply_gate(st, q, bond, 64, 0.0)
+            kernels.apply_bond_gate(st, q, bond, 64, 0.0)
     return st
 
 
@@ -194,23 +193,23 @@ def test_single_site_restore_matches_the_double_pass():
         assert local.bond_dims() == full.bond_dims()
         for a, b in zip(local.lambdas, full.lambdas):
             assert np.max(np.abs(a - b)) <= 1e-12
-        assert abs(local.norm_log - full.norm_log) <= 1e-12
+        assert abs(local.log_scale - full.log_scale) <= 1e-12
         assert np.max(np.abs(mps.all_sz(local) - mps.all_sz(full))) <= 1e-12
-        vec_l = mps.to_dense(local) * np.exp(local.norm_log)
-        vec_f = mps.to_dense(full) * np.exp(full.norm_log)
+        vec_l = mps.to_dense(local) * np.exp(local.log_scale)
+        vec_f = mps.to_dense(full) * np.exp(full.log_scale)
         assert np.max(np.abs(vec_l - vec_f)) <= 1e-12
         assert mps.check_canonical(local) <= 1e-12
 
 
 def test_single_site_restore_takes_n_minus_one_updates(monkeypatch):
     bonds = []
-    update = kernels.apply_bond_gate
+    update = kernels._update_bond
 
-    def counted(tensors, lambdas, gate, bond, *args):
+    def counted(chain, gate, bond, *args):
         bonds.append(bond)
-        return update(tensors, lambdas, gate, bond, *args)
+        return update(chain, gate, bond, *args)
 
-    monkeypatch.setattr(kernels, "apply_bond_gate", counted)
+    monkeypatch.setattr(kernels, "_update_bond", counted)
     st = random_canonical_chain(6, 2)
     bonds.clear()
     mps.apply_site_op(st, SP, 3)

@@ -182,15 +182,3 @@ def test_output_root_env(tmp_path, monkeypatch):
                            t_max=0.5, dt_obs=0.25, output_dir="rel/run")
     res = runner.run(cfg)
     assert str(tmp_path / "root" / "rel" / "run") == res.output_dir
-
-
-def test_checkpoint_schema_documented_fields(tmp_path):
-    # the external checkpoint format must stay self-describing
-    from openchain import mpdo
-    from openchain.models import pauli_basis
-    st = mpdo.neel_mpdo(4, pauli_basis())
-    mpdo.save_checkpoint(tmp_path / "c.npz", st, params=ModelParams(n_sites=4), t=0.0)
-    with np.load(tmp_path / "c.npz") as data:
-        meta = json.loads(bytes(data["meta"]).decode())
-    assert meta["format"] == "openchain-mpdo-checkpoint"
-    assert {"cell", "basis", "n_sites", "log_scale", "time", "params"} <= set(meta)

@@ -22,10 +22,8 @@ def unfused_finite_step(st, tables, chi, cutoff):
     max_tw = 0.0
     for frac, transposed in mpdo.TROTTER4_SEQUENCE:
         for bond in kernels.sweep_bond_order(len(st.lambdas), transposed):
-            ln, tw = kernels.apply_bond_gate(st.tensors, st.lambdas,
-                                             tables[frac][bond], bond, chi, cutoff)
-            st.log_scale += ln
-            max_tw = max(max_tw, tw)
+            max_tw = max(max_tw, kernels.apply_bond_gate(
+                st, tables[frac][bond], bond, chi, cutoff))
     return max_tw
 
 
