@@ -175,8 +175,10 @@ def _split_theta(theta, dl, d, dr, lam_l, lam_r, chi_max, cutoff, labels=None,
         pos = np.argsort(block_of, kind="stable")   # kept positions by block
         ends = np.cumsum(np.bincount(block_of, minlength=len(blocks))).tolist()
         for r, c, (u, _, vh), k0, k1 in zip(rows, cols, blocks, [0] + ends, ends):
-            u_keep[np.ix_(r, pos[k0:k1])] = u[:, :k1 - k0]
-            vh_keep[np.ix_(pos[k0:k1], c)] = vh[:k1 - k0, :]
+            if k1 == k0:
+                continue
+            u_keep[r[:, None], pos[k0:k1]] = u[:, :k1 - k0]
+            vh_keep[pos[k0:k1, None], c] = vh[:k1 - k0, :]
 
     gam_l = np.ascontiguousarray(u_keep).reshape(dl, d, keep)
     gam_l = gam_l * _floored_inverse(lam_l).reshape(dl, 1, 1)

@@ -3,18 +3,27 @@
 Local basis ordering is (up, down); two-site operators act on the fused index
 (s_left * 2 + s_right), i.e. the basis {uu, ud, du, dd}. All couplings are in
 units of the exchange J unless passed explicitly.
+
+Gate exponentials: the XXZ propagator exp(-i h2 t) comes from one cached
+eigendecomposition of the Hermitian bond term (``xxz_propagator``), so a
+trajectory builds a gate per substep length for the price of a 4x4 product.
+Every other gate, the 16x16 superoperator gates of the MPDO and the
+non-Hermitian 4x4 gates of the conditional trajectory, goes through
+``expm``: scaling and squaring with the [13/13] Pade approximant (Higham,
+SIAM J. Matrix Anal. Appl. 26, 1179 (2005)) in plain numpy. The package's
+only runtime dependency is numpy.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 __all__ = [
     "SX", "SY", "SZ", "SP", "SM", "ID2",
     "ModelParams", "OperatorBasis", "JumpOp",
     "pauli_basis", "linearized_basis",
-    "two_site_hamiltonian", "build_xxz_gate", "build_jump_ops",
+    "expm", "two_site_hamiltonian", "xxz_propagator", "build_xxz_gate",
+    "build_jump_ops",
     "site_dissipator_matrix", "two_site_generator", "two_site_superop",
     "build_super_gate", "bond_weights", "build_super_gates",
 ]
@@ -93,6 +102,42 @@ def linearized_basis():
     return OperatorBasis(elements=els, flavor="linearized")
 
 
+# numerator coefficients b_0 .. b_13 of the [13/13] Pade approximant of exp;
+# the denominator takes the same with alternating signs
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+# largest 1-norm for which [13/13] Pade is exp to double precision (Higham)
+_THETA13 = 5.371920351148152
+
+
+def expm(a):
+    """Matrix exponential of a square array by [13/13] Pade, scaled and squared.
+
+    ``a`` is divided by 2^s so that its 1-norm is at most _THETA13, the Pade
+    approximant r = (V - U)^-1 (V + U) is formed from the even (V) and odd
+    (U) parts, and r is squared s times.
+    """
+    a = np.asarray(a)
+    norm = np.linalg.norm(a, 1)
+    s = max(0, int(np.ceil(np.log2(norm / _THETA13)))) if norm > 0 else 0
+    a = a / 2.0 ** s
+    b = _PADE13
+    ident = np.eye(a.shape[0], dtype=a.dtype)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
 def two_site_hamiltonian(p: ModelParams):
     """Bond term -J/4 (sx sx + sy sy) + Delta/4 sz sz on the fused basis."""
     h = (-p.j / 4.0) * (np.kron(SX, SX) + np.kron(SY, SY))
@@ -100,9 +145,19 @@ def two_site_hamiltonian(p: ModelParams):
     return h
 
 
+def xxz_propagator(p: ModelParams):
+    """t -> exp(-i h2 t) as a 4x4 array, from one eigendecomposition of h2."""
+    evals, evecs = np.linalg.eigh(two_site_hamiltonian(p))
+    evecs_h = evecs.conj().T
+
+    def gate(t):
+        return (evecs * np.exp(-1j * evals * t)[None, :]) @ evecs_h
+    return gate
+
+
 def build_xxz_gate(p: ModelParams, dt: float):
     """Two-site propagator exp(-i h2 dt) as a 4x4 array; dt may be negative."""
-    return expm(-1j * two_site_hamiltonian(p) * dt)
+    return xxz_propagator(p)(dt)
 
 
 @dataclass(frozen=True)
@@ -160,14 +215,11 @@ def site_dissipator_matrix(p: ModelParams, basis: OperatorBasis):
 def two_site_superop(fn, basis: OperatorBasis):
     """16x16 expansion of an arbitrary two-site superoperator X -> fn(X)."""
     els = basis.elements
-    mat = np.zeros((16, 16), dtype=complex)
-    pairs = [(i, j) for i in range(4) for j in range(4)]
-    duals = [np.kron(els[i], els[j]).conj().T for (i, j) in pairs]
-    for col, (k, l) in enumerate(pairs):
-        fx = fn(np.kron(els[k], els[l]))
-        for row in range(16):
-            mat[row, col] = np.trace(duals[row] @ fx)
-    return mat
+    products = [np.kron(els[i], els[j]) for i in range(4) for j in range(4)]
+    duals = np.array([x.conj().T for x in products])
+    fxs = np.array([fn(x) for x in products], dtype=complex)
+    # mat[r, c] = Tr(duals[r] @ fxs[c]), every trace in one contraction
+    return np.einsum("rab,cba->rc", duals, fxs)
 
 
 def two_site_generator(p: ModelParams, basis: OperatorBasis,

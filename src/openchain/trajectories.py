@@ -7,21 +7,29 @@ Two schemes:
   are pre-sampled from the analytic norm decay, the state is evolved with the
   Hermitian Hamiltonian only between jumps (second-order sweeps with adaptive
   substeps landing exactly on jump and grid times), and the channel is drawn
-  from the instantaneous <L^dag L> weights. The chain carries U(1) S^z
-  labels from its Neel start (``mps.label_charges``): H conserves S^z and a
-  sigma+- jump moves it by one, so every bond update SVDs one block per
-  magnetization sector, and a jump is restored in N-1 bond updates
-  (``mps.canonicalize`` with ``site``).
+  from the instantaneous <L^dag L> weights. The substep gates come from
+  ``models.xxz_propagator``, one cached eigendecomposition of the bond
+  Hamiltonian, so a substep of any length costs a 4x4 product. The chain
+  carries U(1) S^z labels from its Neel start (``mps.label_charges``): H
+  conserves S^z and a sigma+- jump moves it by one, so every bond update
+  SVDs one block per magnetization sector, and a jump is restored in N-1
+  bond updates (``mps.canonicalize`` with ``site``).
 * ``per-step-conditional``: first order in (rate * dt); handles arbitrary
   rates (the first-order conditional unraveling, Daley, Adv. Phys. 63, 77
   (2014)). Each step applies non-Hermitian two-site gates (the effective
   Hamiltonian including -i/2 L^dag L), reads the channel weights from
   ``mps.sz_any_gauge`` of the chain as the gates left it, conditionally
   fires each channel, and then canonicalizes once, whether or not a jump
-  fired. Its chain stays unlabelled: its bonds stay small (at most 18 in the
-  strong-dissipation benchmark), where a second LAPACK call per theta costs
-  more than the smaller SVDs save. On a 2-core x86 VM, Z2 labels made four
-  such trajectories 2.2 times slower, and U(1) labels about 2 times.
+  fired. The gates are ``models.expm`` of the per-bond generators. Channels
+  fire on weights read before the step's first jump, so two jumps can
+  annihilate the state (sigma- twice on one up spin); the norm that the
+  step's canonicalization divides out then falls to rounding noise, and the
+  step raises FloatingPointError naming its time, sites and channels, as
+  the dense mirror does. The chain stays unlabelled: its bonds stay small
+  (at most 18 in the strong-dissipation benchmark), where a second LAPACK
+  call per theta costs more than the smaller SVDs save. On a 2-core x86 VM,
+  Z2 labels made four such trajectories 2.2 times slower, and U(1) labels
+  about 2 times.
 
 A dense mirror of the conditional scheme (same RNG consumption, same gate
 products) lives here too so jump logs can be compared against the exact
@@ -35,11 +43,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import kernels, mps, oracle
-from .models import ID2, ModelParams, SZ, bond_weights, build_jump_ops, \
-    two_site_hamiltonian
+from .models import ID2, ModelParams, SZ, bond_weights, build_jump_ops, expm, \
+    two_site_hamiltonian, xxz_propagator
 
 __all__ = [
     "TrajectoryConfig", "EntropyTrace", "EnsembleStats",
@@ -50,6 +57,15 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
+
+# A conditional step whose state norm falls below this was annihilated: two
+# jumps of the step fired where the first left nothing for the second to act
+# on, and what is left is rounding noise. That noise follows the last bits of
+# the gates (4e-15 and 2e-14 on one annihilated trajectory, with gates from
+# two expm implementations), so the floor sits far above it, and far below
+# the smallest norm of a healthy step (1.1e-5 on the 32-site
+# strong-dissipation benchmark ensemble).
+_STEP_NORM_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -186,18 +202,6 @@ class EntropyTrace:
     max_trunc_weight: float = 0.0
 
 
-class _XxzGateFn:
-    """exp(-i h2 t) from a cached eigendecomposition (cheap per-substep gates)."""
-
-    def __init__(self, p: ModelParams):
-        evals, evecs = np.linalg.eigh(two_site_hamiltonian(p))
-        self._e = evals
-        self._v = evecs
-
-    def __call__(self, t):
-        return (self._v * np.exp(-1j * self._e * t)[None, :]) @ self._v.conj().T
-
-
 class _Recorder:
     def __init__(self, cfg, tracked):
         n_rec = int(round(cfg.t_max / cfg.dt_obs))
@@ -254,7 +258,7 @@ def _run_exact_jump_times(cfg: TrajectoryConfig, traj_index):
     state = mps.neel_mps(n)
     mps.label_charges(state)
     jumps = build_jump_ops(p)
-    gate_fn = _XxzGateFn(p)
+    gate_fn = xxz_propagator(p)
     gamma = identity_rate(p)
     cap = cfg.step_cap()
     rec = _Recorder(cfg, bond_window(n, cfg.bond_window))
@@ -295,14 +299,19 @@ def _nh_rate_op(p: ModelParams):
 
 
 def build_effective_gates(p: ModelParams, h):
-    """Per-bond exp([-i h2 - (1/2)(w_l K x 1 + w_r 1 x K)] h) gates."""
+    """Per-bond exp([-i h2 - (1/2)(w_l K x 1 + w_r 1 x K)] h) gates.
+
+    Bonds with equal dissipator weights share one gate, so a chain of any
+    length builds at most three.
+    """
     h2 = two_site_hamiltonian(p)
     k = _nh_rate_op(p)
-    gates = []
-    for wl, wr in bond_weights(p.n_sites):
+    weights = bond_weights(p.n_sites)
+    gates = {}
+    for wl, wr in dict.fromkeys(weights):
         gen = -1j * h2 - 0.5 * (wl * np.kron(k, ID2) + wr * np.kron(ID2, k))
-        gates.append(expm(gen * h))
-    return gates
+        gates[wl, wr] = expm(gen * h)
+    return [gates[w] for w in weights]
 
 
 def conditional_jump_mask(weights, h, rng):
@@ -331,6 +340,19 @@ def _conditional_grid(cfg: TrajectoryConfig):
     return h, n_steps, rec_every
 
 
+def _check_step_norm(norm, t, fired):
+    """Raise FloatingPointError if a conditional step annihilated the state.
+
+    The message names the step's time and the jumps ``fired`` in it.
+    """
+    if not norm >= _STEP_NORM_FLOOR:
+        jumps = ", ".join(f"channel {j.channel} at site {j.site}"
+                          for j in fired) or "none"
+        raise FloatingPointError(
+            f"state norm {norm:.2e} below {_STEP_NORM_FLOOR:.0e} in the "
+            f"conditional step at t={t:.6g} (jumps: {jumps})")
+
+
 def _run_conditional(cfg: TrajectoryConfig, traj_index):
     p = cfg.params
     n = p.n_sites
@@ -350,11 +372,13 @@ def _run_conditional(cfg: TrajectoryConfig, traj_index):
                 state, gates, cfg.chi, cfg.cutoff, transposed=transposed))
         w = _weights_from_sz(mps.sz_any_gauge(state), jumps)
         mask = conditional_jump_mask(w, h, rng)
-        for k in np.flatnonzero(mask):
-            j = jumps[k]
+        fired = [jumps[k] for k in np.flatnonzero(mask)]
+        for j in fired:
             mps.apply_site_op(state, j.matrix / np.sqrt(j.rate), j.site)
             jump_log.append((step * h, j.site, j.channel))
+        log_scale = state.log_scale
         mps.canonicalize(state, cfg.chi, cfg.cutoff)
+        _check_step_norm(np.exp(state.log_scale - log_scale), step * h, fired)
         if step % rec_every == 0:
             rec.record(state, len(jump_log))
     return rec.done(cfg, jump_log, max_tw)
@@ -386,13 +410,17 @@ def run_dense_conditional(cfg: TrajectoryConfig, traj_index=0):
         for transposed in (False, True):
             for bond in kernels.sweep_bond_order(n - 1, transposed):
                 psi = oracle.apply_two_site_dense(psi, gates[bond], bond, n)
-        psi = psi / np.linalg.norm(psi)
+        norm = np.linalg.norm(psi)
+        _check_step_norm(norm, step * h, [])
+        psi = psi / norm
         w = _weights_from_sz(oracle.dense_sz_pure(psi), jumps)
         mask = conditional_jump_mask(w, h, rng)
-        for k in np.flatnonzero(mask):
-            j = jumps[k]
+        fired = [jumps[k] for k in np.flatnonzero(mask)]
+        for j in fired:
             psi = dense_ops[(j.site, j.channel)] @ psi
-            psi = psi / np.linalg.norm(psi)
+            norm = np.linalg.norm(psi)
+            _check_step_norm(norm, step * h, fired)
+            psi = psi / norm
             jump_log.append((step * h, j.site, j.channel))
         if step % rec_every == 0:
             sz_series.append(oracle.dense_sz_pure(psi))

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from openchain.models import ID2, SM, SP, SX, SY, SZ, ModelParams, \
     bond_weights, build_jump_ops, build_super_gate, build_super_gates, \
-    build_xxz_gate, linearized_basis, pauli_basis, site_dissipator_matrix, \
-    two_site_generator, two_site_hamiltonian, two_site_superop
+    build_xxz_gate, expm, linearized_basis, pauli_basis, \
+    site_dissipator_matrix, two_site_generator, two_site_hamiltonian, \
+    two_site_superop, xxz_propagator
 
 
 def dense_site_superop(ls, basis):
@@ -157,3 +159,80 @@ def test_build_super_gates_counts():
     p = ModelParams(n_sites=6, gamma_z=0.5)
     assert len(build_super_gates(p, pauli_basis(), 0.01)) == 5
     assert len(build_super_gates(ModelParams(gamma_z=0.5), pauli_basis(), 0.01)) == 1
+
+
+def _expm_cases():
+    """(label, matrix) pairs: Hermitian, non-Hermitian and Lindblad generators."""
+    rng = np.random.default_rng(2005)
+    cases = []
+    for k in range(20):
+        h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        h = h + h.conj().T
+        m = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        p = ModelParams(j=rng.uniform(-2, 2), delta=rng.uniform(-2, 2),
+                        gamma_plus=rng.uniform(0, 2), gamma_minus=rng.uniform(0, 2),
+                        gamma_z=rng.uniform(0, 2), n_sites=4)
+        for t in (-3.0, -0.05, 0.3, 7.0):
+            cases.append((f"hermitian {k} t={t}", -1j * h * t))
+        for t in (-0.5, 0.2, 1.0):
+            cases.append((f"non-hermitian {k} t={t}", m * t))
+        for basis in (pauli_basis(), linearized_basis()):
+            gen = two_site_generator(p, basis, 1.0, 0.5)
+            for t in (-2 * 0.25 / 12, -1.0, 0.01, 5.0):
+                cases.append((f"lindblad {basis.flavor} {k} t={t}", gen * t))
+    return cases
+
+
+def test_expm_matches_scipy():
+    needs_squaring = 0
+    for label, a in _expm_cases():
+        ref = scipy.linalg.expm(a)
+        err = np.linalg.norm(expm(a) - ref) / np.linalg.norm(ref)
+        assert err <= 1e-13, label
+        needs_squaring += np.linalg.norm(a, 1) > 5.371920351148152
+    assert needs_squaring >= 100
+
+
+def test_expm_of_minus_a_is_the_inverse():
+    # rounding in the product grows with the condition number
+    # |exp(A)| |exp(-A)|: 1 for the unitary cases, up to 1e17 for a Lindblad
+    # generator run backwards over t=5, where the product checks nothing
+    checked = 0
+    for label, a in _expm_cases():
+        fwd, back = expm(a), expm(-a)
+        cond = np.linalg.norm(fwd, 2) * np.linalg.norm(back, 2)
+        if cond > 1e3:
+            continue
+        err = np.max(np.abs(fwd @ back - np.eye(len(a))))
+        assert err <= 1e-13 * cond, label
+        checked += 1
+    assert checked >= 200
+
+
+def test_expm_examples():
+    assert np.max(np.abs(expm(np.zeros((4, 4))) - np.eye(4))) <= 1e-15
+    d = np.diag([0.5, -2.0, 30.0])
+    assert np.allclose(expm(d), np.diag(np.exp([0.5, -2.0, 30.0])), rtol=1e-13, atol=0)
+    # nilpotent: exp(N) = 1 + N
+    nil = np.array([[0.0, 40.0], [0.0, 0.0]])
+    assert np.allclose(expm(nil), [[1.0, 40.0], [0.0, 1.0]], rtol=1e-14, atol=0)
+
+
+def test_xxz_propagator_matches_expm():
+    p = ModelParams(delta=0.7, n_sites=2)
+    gate = xxz_propagator(p)
+    for t in (-1.3, 0.0, 0.05, 2.0):
+        ref = expm(-1j * two_site_hamiltonian(p) * t)
+        assert np.max(np.abs(gate(t) - ref)) <= 1e-14
+        assert np.array_equal(build_xxz_gate(p, t), gate(t))
+
+
+def test_two_site_superop_matches_trace_loop():
+    basis = linearized_basis()
+    h2 = two_site_hamiltonian(ModelParams(delta=0.3, n_sites=2))
+    fn = lambda x: h2 @ x - 0.5 * x @ h2 @ h2
+    els = basis.elements
+    products = [np.kron(els[i], els[j]) for i in range(4) for j in range(4)]
+    loop = np.array([[np.trace(dual.conj().T @ fn(x)) for x in products]
+                     for dual in products])
+    assert np.max(np.abs(two_site_superop(fn, basis) - loop)) <= 1e-14

@@ -218,6 +218,20 @@ def test_conditional_scheme_canonicalizes_once_per_step(monkeypatch):
     assert calls == [None] * 10
 
 
+@pytest.mark.parametrize("path", ["mps", "dense"])
+def test_annihilating_conditional_step_raises(path):
+    # trajectory 602: at t=0.85 sigma- fires at sites 3 and 4 with one up
+    # spin left, so the second jump finds nothing to lower
+    p = ModelParams(n_sites=6, gamma_plus=1.0, gamma_minus=2.0, gamma_z=0.5)
+    cfg = tj.TrajectoryConfig(params=p, dt_obs=0.05, t_max=1.0, seed=11,
+                              dt=0.05, scheme="per-step-conditional")
+    run = tj.run_trajectory if path == "mps" else tj.run_dense_conditional
+    with pytest.raises(FloatingPointError,
+                       match=r"t=0\.85 .*- at site 3, channel - at site 4"):
+        run(cfg, 602)
+    run(cfg, 601)   # a healthy trajectory of the same ensemble runs through
+
+
 def test_scheme_b_ensemble_matches_lindblad():
     p = ModelParams(n_sites=4, gamma_plus=0.0, gamma_minus=0.6)
     cfg = tj.TrajectoryConfig(params=p, chi=16, cutoff=1e-12, dt_obs=0.5,
