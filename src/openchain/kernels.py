@@ -16,10 +16,10 @@ The chain (``Chain``): Gamma tensors and per-bond Schmidt vectors in Vidal
 form, the same type for the pure state (physical dimension 2) and the
 vectorized density operator (dimension 4), finite chain or periodic cell.
 The object is exp(``log_scale``) times the network; every kernel entry point
-(``apply_bond_gate``, ``apply_layers``, ``sweep_chain``,
-``canonicalize_chain``) updates the chain in place, divides the kept norm of
-each bond update out of it and adds the summed log of those norms to
-``log_scale`` once per call.
+(``apply_schedule``, ``sweep_chain``, ``canonicalize_chain``) updates the
+chain in place, divides the kept norm of each bond update out of it, adds
+the summed log of those norms to ``log_scale`` once per call and returns
+the largest truncation weight of the call.
 
 Charge labels (Singh, Pfeifer & Vidal, PRB 83, 115125 (2011), with dense
 tensors and integer labels) are read from the chain: ``charges``, one int
@@ -39,19 +39,22 @@ as the new bond's labels. An unlabelled chain is one group: the SVD runs on
 theta itself and the arithmetic is that of a plain dense split.
 
 Sweep conventions (shared by the pure-state and density-operator engines):
-bond ``b`` joins sites ``b`` and ``b + 1``. Every gate sweep and Trotter step
-runs through one layer executor, ``apply_layers``, which takes a list of
-``(parity, per-bond gate table)`` layers and applies ``table[b]`` at each bond
-``b`` of that parity. Bonds of one parity share no site, so the order within a
-layer does not change the arithmetic. A chain with as many bonds as sites is a
-periodic cell (``Chain.cell``, the infinite-chain unit cell): its last bond
-wraps around to site 0, and the outer lambdas and charge labels of every bond
-update wrap with it, so a labelled cell takes the same block SVD as a finite
-chain. A labelled chain's gates are checked for sector coupling once per
-distinct gate matrix in each ``apply_layers`` call, before any layer runs. A
+bond ``b`` joins sites ``b`` and ``b + 1``. One executor, ``apply_schedule``,
+runs every bond update: it takes a schedule, a list of ``(bond, gate)``
+pairs applied in order (gate None: a gate-free restore), and prepares each
+distinct gate once before the first update (sector check on a labelled
+chain, cast to the chain's dtype). ``layer_schedule`` builds the schedule
+of ``(parity, per-bond gate table)`` layers: each layer applies ``table[b]``
+at every bond ``b`` of that parity, left to right. Bonds of one parity share
+no site, so the order within a layer does not change the arithmetic. A
 normal sweep is the layer of parity 0 then the layer of parity 1; a
-transposed sweep is the reverse, so it is the exact reverse-ordered product
-of the normal one.
+transposed sweep is the reverse (``SWEEP_PARITIES``), so it is the exact
+reverse-ordered product of the normal one. The dense mirror of the
+conditional trajectory scheme walks the same ``layer_schedule``. A chain
+with as many bonds as sites is a periodic cell (``Chain.cell``, the
+infinite-chain unit cell): its last bond wraps around to site 0, and the
+outer lambdas and charge labels of every bond update wrap with it, so a
+labelled cell takes the same block SVD as a finite chain.
 """
 
 from dataclasses import dataclass, field, replace
@@ -64,9 +67,9 @@ __all__ = [
     "LAMBDA_FLOOR",
     "bond_update",
     "bond_update_nogate",
-    "apply_bond_gate",
-    "apply_layers",
-    "sweep_bond_order",
+    "SWEEP_PARITIES",
+    "apply_schedule",
+    "layer_schedule",
     "sweep_chain",
     "canonicalize_chain",
     "schmidt_entropy",
@@ -323,28 +326,8 @@ def _check_gate_sectors(gate, chain, bond):
             f"(max |gate| {scale:.3e}); the block SVD would drop it")
 
 
-def apply_bond_gate(chain, gate, bond, chi_max, cutoff):
-    """Apply a two-site gate at ``bond`` in place; returns the truncation weight.
-
-    ``gate`` may be None (identity, used for canonical-form restores). The
-    kept norm of the updated bond is divided out of the chain and its log
-    added to ``chain.log_scale``: trajectories track the discarded norm with
-    it, density operators the overall scale. A vanishing kept norm raises
-    FloatingPointError.
-
-    On a labelled chain the kernel SVDs each charge block separately and
-    updates ``chain.charges``; a gate that couples different pair-charge
-    sectors raises ValueError.
-    """
-    if gate is not None and chain.charges is not None:
-        _check_gate_sectors(gate, chain, bond)
-    ln, tw = _update_bond(chain, gate, bond, chi_max, cutoff)
-    chain.log_scale += ln
-    return tw
-
-
 def _update_bond(chain, gate, bond, chi_max, cutoff):
-    """One bond update without the gate's sector check; (log_norm, tw)."""
+    """One bond update with a cast gate, or None; (log_norm, tw)."""
     tensors, lambdas = chain.tensors, chain.lambdas
     right, lam_l, lam_r = _boundary(lambdas, bond, len(tensors))
     block_labels = None
@@ -357,13 +340,6 @@ def _update_bond(chain, gate, bond, chi_max, cutoff):
             lam_l, tensors[bond], lambdas[bond], tensors[right], lam_r,
             chi_max, cutoff, block_labels, chain.modulus)
     else:
-        dtype = tensors[bond].dtype
-        if gate.dtype != dtype:
-            if dtype == np.complex128:
-                gate = np.ascontiguousarray(gate, dtype=np.complex128)
-            else:
-                raise TypeError("complex gate applied to a real-valued chain; "
-                                "gate flavor does not match the state")
         gl, lam, gr, kept, tw, q = bond_update(
             lam_l, tensors[bond], lambdas[bond], tensors[right], lam_r,
             gate, chi_max, cutoff, block_labels, chain.modulus)
@@ -377,82 +353,91 @@ def _update_bond(chain, gate, bond, chi_max, cutoff):
     return float(np.log(kept)), float(tw)
 
 
-def apply_layers(chain, layers, chi_max, cutoff):
-    """Apply gate layers in order, in place; returns the max truncation weight.
+def apply_schedule(chain, schedule, chi_max, cutoff):
+    """Run a schedule of bond updates in place; returns the max truncation weight.
 
-    ``layers`` is a sequence of ``(parity, gates)``: each layer applies
-    ``gates[bond]`` at every bond of that parity, left to right. ``gates`` is
-    a per-bond list (entries may repeat the same matrix). The summed log of
-    the kept norms is added to ``chain.log_scale``. On a labelled chain each
-    distinct gate matrix is checked for sector coupling once, before any
-    layer runs; the error names the bond of its first use.
+    ``schedule`` is a list of ``(bond, gate)`` pairs applied in order; a
+    gate of None is a gate-free re-split. Before the first update each
+    distinct gate is checked once, at the bond of its first use: on a
+    labelled chain a gate that couples pair-charge sectors raises
+    ValueError, and a complex gate on a real chain TypeError; a gate on a
+    complex chain is cast to complex128. Each update's kept norm is divided
+    out of the chain and the summed log added to ``chain.log_scale``; a
+    vanishing kept norm raises FloatingPointError.
     """
-    n_bonds = len(chain.lambdas)
-    if chain.charges is not None:
-        first_use = {}
-        for parity, gates in layers:
-            for bond in range(parity, n_bonds, 2):
-                if gates[bond] is not None:
-                    first_use.setdefault(id(gates[bond]), (gates[bond], bond))
-        for gate, bond in first_use.values():
+    ready = {}   # id of each distinct gate: the gate as _update_bond takes it
+    for bond, gate in schedule:
+        if gate is None or id(gate) in ready:
+            continue
+        if chain.charges is not None:
             _check_gate_sectors(gate, chain, bond)
+        dtype = chain.tensors[bond].dtype
+        if gate.dtype == dtype:
+            ready[id(gate)] = gate
+        elif dtype == np.complex128:
+            ready[id(gate)] = np.ascontiguousarray(gate, dtype=np.complex128)
+        else:
+            raise TypeError("complex gate applied to a real-valued chain; "
+                            "gate flavor does not match the state")
     log_norm = 0.0
     max_tw = 0.0
-    for parity, gates in layers:
-        for bond in range(parity, n_bonds, 2):
-            ln, tw = _update_bond(chain, gates[bond], bond, chi_max, cutoff)
-            log_norm += ln
-            if tw > max_tw:
-                max_tw = tw
+    for bond, gate in schedule:
+        # a restore's gate, None, has no entry and stays None
+        ln, tw = _update_bond(chain, ready.get(id(gate)), bond, chi_max, cutoff)
+        log_norm += ln
+        if tw > max_tw:
+            max_tw = tw
     chain.log_scale += log_norm
     return max_tw
 
 
-def sweep_bond_order(n_bonds, transposed):
-    """Bond order of one sweep as a gate product (parity 0 bonds, then parity 1).
+def layer_schedule(layers, n_bonds):
+    """The ``(bond, gate)`` schedule of a sequence of gate layers.
 
-    The transposed order is the exact reverse. The dense mirror of the
-    conditional trajectory scheme applies its gates in this order.
+    ``layers`` is a sequence of ``(parity, gates)``: each layer applies
+    ``gates[bond]`` at every bond of that parity, left to right. ``gates``
+    is a per-bond list (entries may repeat the same matrix).
     """
-    odd = list(range(0, n_bonds, 2))
-    even = list(range(1, n_bonds, 2))
-    if transposed:
-        return even[::-1] + odd[::-1]
-    return odd + even
+    return [(bond, gates[bond]) for parity, gates in layers
+            for bond in range(parity, n_bonds, 2)]
+
+
+# Layer parities of a sweep, indexed by its ``transposed`` flag: a normal
+# sweep runs parity 0 then parity 1, a transposed sweep the reverse.
+SWEEP_PARITIES = ((0, 1), (1, 0))
 
 
 def sweep_chain(chain, gates, chi_max, cutoff, transposed=False):
     """One gate sweep over the whole chain; returns the max truncation weight.
 
     ``gates`` is a per-bond list (entries may repeat the same matrix); the
-    chain is updated as by apply_layers.
+    chain is updated as by apply_schedule.
     """
-    layers = [(1, gates), (0, gates)] if transposed else [(0, gates), (1, gates)]
-    return apply_layers(chain, layers, chi_max, cutoff)
+    layers = [(parity, gates) for parity in SWEEP_PARITIES[transposed]]
+    return apply_schedule(chain, layer_schedule(layers, len(chain.lambdas)),
+                          chi_max, cutoff)
 
 
 def canonicalize_chain(chain, chi_max, cutoff, site=None):
     """Restore Vidal canonical form by identity bond updates, in place.
 
     Exact up to the requested truncation; the summed log of the kept norms
-    is added to ``chain.log_scale``. Without ``site``, a left-to-right
-    pass left-orthonormalizes, then a right-to-left pass produces true
-    Schmidt vectors at every bond (2(N-1) updates). With ``site``, the chain
-    must be canonical but for that one site's tensor: a right-to-left pass
-    over bonds site-1 .. 0 makes them Schmidt bonds against the untouched
-    right part, then a left-to-right pass over bonds site .. N-2 does the
-    same for the rest (N-1 updates).
+    is added to ``chain.log_scale`` and the largest truncation weight of
+    the restore is returned. Without ``site``, a left-to-right pass
+    left-orthonormalizes, then a right-to-left pass produces true Schmidt
+    vectors at every bond (2(N-1) updates). With ``site``, the chain must be
+    canonical but for that one site's tensor: a right-to-left pass over
+    bonds site-1 .. 0 makes them Schmidt bonds against the untouched right
+    part, then a left-to-right pass over bonds site .. N-2 does the same for
+    the rest (N-1 updates).
     """
     n_bonds = len(chain.lambdas)
     if site is None:
         order = [*range(n_bonds), *range(n_bonds - 1, -1, -1)]
     else:
         order = [*range(site - 1, -1, -1), *range(site, n_bonds)]
-    log_norm = 0.0
-    for bond in order:
-        ln, _ = _update_bond(chain, None, bond, chi_max, cutoff)
-        log_norm += ln
-    chain.log_scale += log_norm
+    return apply_schedule(chain, [(bond, None) for bond in order], chi_max,
+                          cutoff)
 
 
 def schmidt_entropy(lam):

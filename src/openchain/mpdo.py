@@ -171,7 +171,8 @@ def mpdo_from_dense(rho, basis, chi=256, cutoff=1e-14):
 
 
 def canonicalize(state: kernels.Chain, chi, cutoff):
-    kernels.canonicalize_chain(state, chi, cutoff)
+    """Restore canonical form; returns the restore's largest truncation weight."""
+    return kernels.canonicalize_chain(state, chi, cutoff)
 
 
 def operator_entanglement(state: kernels.Chain, bond):
@@ -260,14 +261,14 @@ TROTTER4_SEQUENCE = (
 def _fuse_sweeps(sweeps):
     """Compile (fraction, transposed) sweeps into fused (parity, fraction) layers.
 
-    A normal sweep is the parity-0 layer then the parity-1 layer; a transposed
-    sweep is the reverse. Adjacent layers on the same bonds apply
-    exp(L_b a) exp(L_b b) with one bond generator L_b, which is exactly
-    exp(L_b (a + b)), so they merge into one layer.
+    A sweep's layers take the parities of ``kernels.SWEEP_PARITIES``.
+    Adjacent layers on the same bonds apply exp(L_b a) exp(L_b b) with one
+    bond generator L_b, which is exactly exp(L_b (a + b)), so they merge
+    into one layer.
     """
     layers = []
     for frac, transposed in sweeps:
-        for parity in ((1, 0) if transposed else (0, 1)):
+        for parity in kernels.SWEEP_PARITIES[transposed]:
             if layers and layers[-1][0] == parity:
                 layers[-1] = (parity, layers[-1][1] + frac)
             else:
@@ -299,13 +300,14 @@ def _run_trotter4(state: kernels.Chain, gates, n_gates, chi, cutoff):
                 f"expected {n_gates}")
         tables[frac] = list(table) * (n_bonds // n_gates)
     layers = [(parity, tables[frac]) for parity, frac in TROTTER4_LAYERS]
-    return kernels.apply_layers(state, layers, chi, cutoff)
+    return kernels.apply_schedule(
+        state, kernels.layer_schedule(layers, n_bonds), chi, cutoff)
 
 
 def trotter4_step(state: kernels.Chain, gates, chi, cutoff):
     """One step dt of the fourth-order decomposition on a finite chain.
 
-    Runs the 25 fused layers of TROTTER4_LAYERS through the shared layer
+    Runs the 25 fused layers of TROTTER4_LAYERS through the shared schedule
     executor; returns the largest truncation weight. ``gates`` comes from
     build_trotter4_gates for the same chain and holds one gate per bond.
     """

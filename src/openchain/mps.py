@@ -83,13 +83,13 @@ def sweep(state: kernels.Chain, gate, chi, cutoff, transposed=False):
 
 
 def canonicalize(state: kernels.Chain, chi, cutoff, site=None):
-    """Restore canonical form (and normalization).
+    """Restore canonical form and norm; returns the max truncation weight.
 
     With ``site``, the chain must be canonical but for that site's tensor
     (after ``apply_site_op``), and N-1 bond updates restore it; without, the
     full double pass runs (see ``kernels.canonicalize_chain``).
     """
-    kernels.canonicalize_chain(state, chi, cutoff, site=site)
+    return kernels.canonicalize_chain(state, chi, cutoff, site=site)
 
 
 def apply_site_op(state: kernels.Chain, op, site):

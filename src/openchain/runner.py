@@ -182,11 +182,6 @@ def _write_manifest(outdir, cfg, outputs, extras):
     return str(path)
 
 
-def _grid(cfg):
-    n_rec = int(round(cfg.t_max / cfg.dt_obs))
-    return np.arange(n_rec + 1) * cfg.dt_obs
-
-
 def _run_mpdo(cfg: RunConfig, outdir):
     p = cfg.model_params()
     basis = cfg.operator_basis()
@@ -207,17 +202,19 @@ def _run_mpdo(cfg: RunConfig, outdir):
 
     record(0.0)
     max_drift = 0.0
-    max_tw = 0.0
+    max_tw = max_restore_tw = 0.0
     for step in range(1, n_steps + 1):
         max_tw = max(max_tw, mpdo.trotter4_step(state, gates, cfg.chi, cfg.cutoff))
         tr_val = mpdo.renormalize_trace(state)
         max_drift = max(max_drift, abs(tr_val - 1.0))
         if step % rec_every == 0:
-            mpdo.canonicalize(state, cfg.chi, cfg.cutoff)
+            max_restore_tw = max(max_restore_tw,
+                                 mpdo.canonicalize(state, cfg.chi, cfg.cutoff))
             record(step * cfg.dt)
     path = outdir / "trace.csv"
     traces.write_csv(path, cols, rows)
     extras = {"max_step_trace_drift": max_drift, "max_trunc_weight": max_tw,
+              "max_restore_trunc_weight": max_restore_tw,
               "max_bond_dim": state.max_bond()}
     return str(path), None, extras
 
@@ -321,6 +318,8 @@ def _run_qt(cfg: RunConfig, outdir):
     path = outdir / "trace.csv"
     traces.write_csv(path, cols, rows)
     extras = {"max_trunc_weight": max(tr.max_trunc_weight for tr in runs),
+              "max_restore_trunc_weight": max(tr.max_restore_trunc_weight
+                                              for tr in runs),
               "total_jumps": int(sum(len(tr.jump_log) for tr in runs))}
     return str(path), str(ens_path), extras
 

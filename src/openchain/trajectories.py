@@ -33,9 +33,11 @@ Two schemes:
 
 A dense mirror of the conditional scheme (same RNG consumption, same gate
 products) lives here too so jump logs can be compared against the exact
-solver bit for bit. ``run_dense_conditional`` is the package's one dense
-trajectory reference; ``tests/test_oracle.py`` validates it statistically
-against the Lindblad oracle (ensemble <sz>, inter-jump waiting times).
+solver bit for bit. It walks each sweep's ``kernels.layer_schedule``, as
+``kernels.sweep_chain`` does, so its gates run in the MPS path's order.
+``run_dense_conditional`` is the package's one dense trajectory reference;
+``tests/test_oracle.py`` validates it statistically against the Lindblad
+oracle (ensemble <sz>, inter-jump waiting times).
 """
 
 import logging
@@ -78,7 +80,6 @@ class TrajectoryConfig:
     seed: int = 0
     scheme: str = "exact-jump-times"   # or "per-step-conditional"
     dt: float | None = None  # integration substep cap; defaults to dt_obs
-    bond_window: int = 11
 
     def step_cap(self):
         return self.dt_obs if self.dt is None else min(self.dt, self.dt_obs)
@@ -156,12 +157,13 @@ def apply_jump(state, jump, chi, cutoff):
 
     The chain must be canonical; the jumped site's weight is read locally,
     and the restore runs N-1 bond updates around the jumped site. A labelled
-    chain's charges follow the jump.
+    chain's charges follow the jump. Returns the restore's largest
+    truncation weight.
     """
     if jump.channel == "z":
         # unitary and diagonal: Schmidt vectors are untouched
         mps.apply_site_op(state, SZ, jump.site)
-        return
+        return 0.0
     sz = {jump.site: mps.local_expectation(state, SZ, jump.site)}
     weight = _weights_from_sz(sz, [jump])[0] / jump.rate
     if weight < 1e-28:
@@ -169,23 +171,26 @@ def apply_jump(state, jump, chi, cutoff):
             f"post-jump norm {np.sqrt(max(weight, 0.0)):.2e} below 1e-14 "
             f"for channel {jump.channel} at site {jump.site}")
     mps.apply_site_op(state, jump.matrix / np.sqrt(jump.rate), jump.site)
-    mps.canonicalize(state, chi, cutoff, site=jump.site)
+    return mps.canonicalize(state, chi, cutoff, site=jump.site)
 
 
-def bond_window(n_sites, width=11):
-    """Tracked bonds: ``width`` bonds centered on the middle of the chain.
+_WINDOW_WIDTH = 11   # bonds whose entropies S_bond_avg averages
+
+
+def bond_window(n_sites):
+    """Tracked bonds: _WINDOW_WIDTH bonds centered on the middle of the chain.
 
     Falls back to the single center bond (with a warning) when the chain is
     too short.
     """
     n_bonds = n_sites - 1
     center = (n_sites - 2) // 2
-    if n_bonds < width:
+    if n_bonds < _WINDOW_WIDTH:
         log.warning("chain with %d bonds is too short for %d-bond averaging; "
-                    "using the center bond only", n_bonds, width)
+                    "using the center bond only", n_bonds, _WINDOW_WIDTH)
         return [center]
-    half = width // 2
-    return list(range(center - half, center - half + width))
+    start = center - _WINDOW_WIDTH // 2
+    return list(range(start, start + _WINDOW_WIDTH))
 
 
 @dataclass
@@ -199,7 +204,8 @@ class EntropyTrace:
     jumps_cum: np.ndarray = field(repr=False)
     jump_log: list = field(repr=False)               # (time, site, channel)
     n_sites: int = 0
-    max_trunc_weight: float = 0.0
+    max_trunc_weight: float = 0.0           # gate sweeps
+    max_restore_trunc_weight: float = 0.0   # canonical-form restores
 
 
 class _Recorder:
@@ -224,13 +230,13 @@ class _Recorder:
         self.jumps_cum[self.k] = n_jumps
         self.k += 1
 
-    def done(self, cfg, jump_log, max_tw):
+    def done(self, cfg, jump_log, max_tw, max_restore_tw):
         return EntropyTrace(
             times=self.grid, tracked_bonds=list(self.tracked),
             bond_entropies=self.bond_entropies, s_center=self.s_center,
             s_bond_avg=self.s_bond_avg, sz=self.sz, jumps_cum=self.jumps_cum,
             jump_log=jump_log, n_sites=cfg.params.n_sites,
-            max_trunc_weight=max_tw)
+            max_trunc_weight=max_tw, max_restore_trunc_weight=max_restore_tw)
 
 
 def _traj_rng(seed, traj_index):
@@ -261,9 +267,9 @@ def _run_exact_jump_times(cfg: TrajectoryConfig, traj_index):
     gate_fn = xxz_propagator(p)
     gamma = identity_rate(p)
     cap = cfg.step_cap()
-    rec = _Recorder(cfg, bond_window(n, cfg.bond_window))
+    rec = _Recorder(cfg, bond_window(n))
     jump_log = []
-    max_tw = 0.0
+    max_tw = max_restore_tw = 0.0
 
     t = 0.0
     next_jump = (sample_jump_time(0.0, 1.0 - rng.random(), n, gamma)
@@ -275,14 +281,15 @@ def _run_exact_jump_times(cfg: TrajectoryConfig, traj_index):
                 state, gate_fn, next_jump - t, cap, cfg.chi, cfg.cutoff))
             t = next_jump
             idx = select_jump_channel(state, jumps, rng)
-            apply_jump(state, jumps[idx], cfg.chi, cfg.cutoff)
+            max_restore_tw = max(max_restore_tw, apply_jump(
+                state, jumps[idx], cfg.chi, cfg.cutoff))
             jump_log.append((t, jumps[idx].site, jumps[idx].channel))
             next_jump = sample_jump_time(t, 1.0 - rng.random(), n, gamma)
         max_tw = max(max_tw, _evolve_hermitian(
             state, gate_fn, t_grid - t, cap, cfg.chi, cfg.cutoff))
         t = t_grid
         rec.record(state, len(jump_log))
-    return rec.done(cfg, jump_log, max_tw)
+    return rec.done(cfg, jump_log, max_tw, max_restore_tw)
 
 
 # ----------------------------------------------------------------------------
@@ -361,9 +368,9 @@ def _run_conditional(cfg: TrajectoryConfig, traj_index):
     jumps = build_jump_ops(p)
     h, n_steps, rec_every = _conditional_grid(cfg)
     gates = build_effective_gates(p, 0.5 * h)
-    rec = _Recorder(cfg, bond_window(n, cfg.bond_window))
+    rec = _Recorder(cfg, bond_window(n))
     jump_log = []
-    max_tw = 0.0
+    max_tw = max_restore_tw = 0.0
 
     rec.record(state, 0)
     for step in range(1, n_steps + 1):
@@ -377,11 +384,12 @@ def _run_conditional(cfg: TrajectoryConfig, traj_index):
             mps.apply_site_op(state, j.matrix / np.sqrt(j.rate), j.site)
             jump_log.append((step * h, j.site, j.channel))
         log_scale = state.log_scale
-        mps.canonicalize(state, cfg.chi, cfg.cutoff)
+        max_restore_tw = max(max_restore_tw,
+                             mps.canonicalize(state, cfg.chi, cfg.cutoff))
         _check_step_norm(np.exp(state.log_scale - log_scale), step * h, fired)
         if step % rec_every == 0:
             rec.record(state, len(jump_log))
-    return rec.done(cfg, jump_log, max_tw)
+    return rec.done(cfg, jump_log, max_tw, max_restore_tw)
 
 
 def run_dense_conditional(cfg: TrajectoryConfig, traj_index=0):
@@ -408,8 +416,10 @@ def run_dense_conditional(cfg: TrajectoryConfig, traj_index=0):
     jump_log = []
     for step in range(1, n_steps + 1):
         for transposed in (False, True):
-            for bond in kernels.sweep_bond_order(n - 1, transposed):
-                psi = oracle.apply_two_site_dense(psi, gates[bond], bond, n)
+            layers = [(parity, gates)
+                      for parity in kernels.SWEEP_PARITIES[transposed]]
+            for bond, gate in kernels.layer_schedule(layers, n - 1):
+                psi = oracle.apply_two_site_dense(psi, gate, bond, n)
         norm = np.linalg.norm(psi)
         _check_step_norm(norm, step * h, [])
         psi = psi / norm

@@ -132,9 +132,9 @@ def test_sector_coupling_gate_raises_on_labelled_chain_only():
     st = evolve(mpdo.neel_mpdo(6, BASES[0]), p, 0.2, 1, chi=64, cutoff=1e-12)
     gate = np.random.default_rng(3).standard_normal((16, 16))
     with pytest.raises(ValueError, match=r"bond 2 .*off-block entry \d"):
-        kernels.apply_bond_gate(st.copy(), gate, 2, 64, 1e-12)
+        kernels.apply_schedule(st.copy(), [(2, gate)], 64, 1e-12)
     plain = unlabelled(st)
-    tw = kernels.apply_bond_gate(plain, gate, 2, 64, 1e-12)
+    tw = kernels.apply_schedule(plain, [(2, gate)], 64, 1e-12)
     assert tw >= 0.0 and plain.charges is None
 
 
@@ -249,7 +249,7 @@ def test_u1_gate_check_has_no_modulus():
     flip[0, 3] = flip[3, 0] = 1.0
     lab = mps.label_charges(mps.product_mps([UP_KET, UP_KET]))
     with pytest.raises(ValueError, match=r"bond 0 couples U\(1\) charge sectors"):
-        kernels.apply_bond_gate(lab, flip, 0, 8, 0.0)
+        kernels.apply_schedule(lab, [(0, flip)], 8, 0.0)
     z2 = kernels.Chain([], [], charges=[], site_charge=np.array([0, 1]),
                        modulus=2)
     kernels._check_gate_sectors(flip, z2, 0)   # the Z2 pair parity allows it

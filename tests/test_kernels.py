@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from openchain import kernels
+from openchain import kernels, mpdo
+from openchain.models import ModelParams, pauli_basis
 
 
 def random_vidal_bond(rng, chi, d, dtype):
@@ -31,10 +32,31 @@ def test_bond_update_is_exact_without_truncation():
 
 def test_sweep_order_is_exact_reversal():
     for n_bonds in (1, 2, 5, 8):
-        fwd = kernels.sweep_bond_order(n_bonds, transposed=False)
-        rev = kernels.sweep_bond_order(n_bonds, transposed=True)
-        assert sorted(fwd) == list(range(n_bonds))
-        assert rev == fwd[::-1]
+        gates = [f"gate {b}" for b in range(n_bonds)]
+        sweeps = [[(parity, gates) for parity in kernels.SWEEP_PARITIES[t]]
+                  for t in (False, True)]
+        fwd, rev = (kernels.layer_schedule(layers, n_bonds) for layers in sweeps)
+        assert sorted(fwd) == [(b, gates[b]) for b in range(n_bonds)]
+        for layers in sweeps:
+            for layer in layers:
+                sites = [s for b, _ in kernels.layer_schedule([layer], n_bonds)
+                         for s in (b, b + 1)]
+                assert len(sites) == len(set(sites))   # disjoint bonds
+        assert rev == kernels.layer_schedule(sweeps[0][::-1], n_bonds)
+
+
+def test_complex_gate_on_a_real_mpdo_raises_and_leaves_it_untouched():
+    st = mpdo.neel_mpdo(4, pauli_basis())
+    p = ModelParams(n_sites=4, gamma_z=0.5)
+    gates = mpdo.build_trotter4_gates(p, st.basis, 0.1)[1]
+    kernels.sweep_chain(st, gates, 16, 1e-12)
+    before = st.copy()
+    schedule = [(0, gates[0]), (1, gates[1].astype(np.complex128))]
+    with pytest.raises(TypeError, match="complex gate"):
+        kernels.apply_schedule(st, schedule, 16, 1e-12)
+    assert all(np.array_equal(a, b) for a, b in zip(st.tensors, before.tensors))
+    assert all(np.array_equal(a, b) for a, b in zip(st.lambdas, before.lambdas))
+    assert st.log_scale == before.log_scale
 
 
 def test_truncation_cap_and_cutoff():

@@ -38,7 +38,7 @@ def test_zero_step_super_gate_is_identity():
     before_sz = mpdo.all_sz(st)
     before_s = mpdo.entropies(st)
     for bond, g in enumerate(build_super_gates(p, PAULI, 0.0)):
-        kernels.apply_bond_gate(st, g, bond, 64, 1e-14)
+        kernels.apply_schedule(st, [(bond, g)], 64, 1e-14)
     assert np.max(np.abs(mpdo.all_sz(st) - before_sz)) <= 1e-12
     assert np.max(np.abs(mpdo.entropies(st) - before_s)) <= 1e-12
 

@@ -24,10 +24,10 @@ def test_neel_expectations_and_entropies():
 
 def test_identity_gate_is_noop():
     st = mps.neel_mps(4)
-    kernels.apply_bond_gate(st, build_xxz_gate(P2, 0.4), 1, 16, 1e-12)
+    kernels.apply_schedule(st, [(1, build_xxz_gate(P2, 0.4))], 16, 1e-12)
     before_sz = mps.all_sz(st)
     before_s = mps.entropies(st)
-    tw = kernels.apply_bond_gate(st, np.eye(4), 1, 16, 1e-12)
+    tw = kernels.apply_schedule(st, [(1, np.eye(4))], 16, 1e-12)
     assert tw <= 1e-12
     assert np.max(np.abs(mps.all_sz(st) - before_sz)) <= 1e-12
     assert np.max(np.abs(mps.entropies(st) - before_s)) <= 1e-12
@@ -36,7 +36,7 @@ def test_identity_gate_is_noop():
 def test_two_spin_populations_and_entropy():
     t = 1.3
     st = mps.neel_mps(2)
-    kernels.apply_bond_gate(st, build_xxz_gate(P2, t), 0, 8, 1e-14)
+    kernels.apply_schedule(st, [(0, build_xxz_gate(P2, t))], 8, 1e-14)
     assert mps.local_expectation(st, SZ, 0) == pytest.approx(np.cos(t), abs=1e-10)
     assert mps.bond_entropy(st, 0) == pytest.approx(two_spin_entropy(t), abs=1e-10)
     # populations of the reduced single spin
@@ -46,10 +46,11 @@ def test_two_spin_populations_and_entropy():
 
 def test_full_flip_resets_entropy():
     st = mps.neel_mps(2)
-    kernels.apply_bond_gate(st, build_xxz_gate(P2, np.pi), 0, 8, 1e-14)
+    kernels.apply_schedule(st, [(0, build_xxz_gate(P2, np.pi))], 8, 1e-14)
     assert mps.bond_entropy(st, 0) <= 1e-8
     st2 = mps.neel_mps(2)
-    kernels.apply_bond_gate(st2, build_xxz_gate(P2, np.pi / 2), 0, 8, 1e-14)
+    kernels.apply_schedule(st2, [(0, build_xxz_gate(P2, np.pi / 2))], 8,
+                           1e-14)
     assert mps.bond_entropy(st2, 0) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -61,7 +62,7 @@ def test_bell_pair_entropy():
     bell[2, 2] = 1.0
     bell[3, 3] = -1.0  # any completion; column 0 is what acts on |uu>
     q, _ = np.linalg.qr(bell)
-    kernels.apply_bond_gate(st, q, 0, 8, 1e-14)
+    kernels.apply_schedule(st, [(0, q)], 8, 1e-14)
     assert mps.bond_entropy(st, 0) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -72,7 +73,7 @@ def test_norm_and_magnetization_over_many_gates():
     rng = np.random.default_rng(5)
     for _ in range(1000):
         bond = int(rng.integers(0, 5))
-        kernels.apply_bond_gate(st, gate, bond, 32, 1e-12)
+        kernels.apply_schedule(st, [(bond, gate)], 32, 1e-12)
     for lam in st.lambdas:
         assert abs(np.sum(lam ** 2) - 1.0) <= 1e-10
     vec = mps.to_dense(st)
@@ -172,10 +173,10 @@ def random_canonical_chain(n, seed):
     kets = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
     st = mps.product_mps(list(kets))
     for _ in range(3):
-        for bond in kernels.sweep_bond_order(n - 1, False):
+        for bond in [*range(0, n - 1, 2), *range(1, n - 1, 2)]:
             m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             q, _ = np.linalg.qr(m)
-            kernels.apply_bond_gate(st, q, bond, 64, 0.0)
+            kernels.apply_schedule(st, [(bond, q)], 64, 0.0)
     return st
 
 
@@ -199,6 +200,17 @@ def test_single_site_restore_matches_the_double_pass():
         vec_f = mps.to_dense(full) * np.exp(full.log_scale)
         assert np.max(np.abs(vec_l - vec_f)) <= 1e-12
         assert mps.check_canonical(local) <= 1e-12
+
+
+def test_restore_returns_its_truncation_weight():
+    base = random_canonical_chain(6, 2)
+    op = np.array([[0.9, 0.3 - 0.2j], [0.1j, 0.4]])
+    exact, cut = base.copy(), base.copy()
+    for st in (exact, cut):
+        mps.apply_site_op(st, op, 2)
+    assert mps.canonicalize(exact, 64, 0.0, site=2) <= 1e-12
+    assert mps.canonicalize(cut, 2, 0.0, site=2) > 1e-6
+    assert cut.max_bond() == 2
 
 
 def test_single_site_restore_takes_n_minus_one_updates(monkeypatch):

@@ -103,7 +103,7 @@ def test_apply_jump_examples():
     # a z jump leaves every Schmidt vector untouched
     pz = ModelParams(n_sites=2, gamma_z=1.0)
     st2 = mps.neel_mps(2)
-    kernels.apply_bond_gate(st2, build_xxz_gate(pz, 0.6), 0, 8, 1e-12)
+    kernels.apply_schedule(st2, [(0, build_xxz_gate(pz, 0.6))], 8, 1e-12)
     lam_before = st2.lambdas[0].copy()
     tj.apply_jump(st2, build_jump_ops(pz)[0], 8, 1e-12)
     assert np.array_equal(st2.lambdas[0], lam_before)
@@ -124,7 +124,7 @@ def test_rare_jump_creates_bell_entropy():
     t = 0.01
     gate = build_xxz_gate(p, t)
     for bond in (0, 1, 2):
-        kernels.apply_bond_gate(st, gate, bond, 16, 1e-16)
+        kernels.apply_schedule(st, [(bond, gate)], 16, 1e-16)
     jumps = {(j.site, j.channel): j for j in build_jump_ops(p)}
     tj.apply_jump(st, jumps[(1, "+")], 16, 1e-16)
     assert mps.bond_entropy(st, 1) == pytest.approx(1.0, abs=1e-3)
@@ -216,6 +216,24 @@ def test_conditional_scheme_canonicalizes_once_per_step(monkeypatch):
     tr = tj.run_trajectory(cfg)
     assert any(ch in "+-" for _, _, ch in tr.jump_log)
     assert calls == [None] * 10
+
+
+@pytest.mark.parametrize("scheme", ["exact-jump-times", "per-step-conditional"])
+def test_trace_reports_the_largest_restore_weight(monkeypatch, scheme):
+    weights = []
+    canonicalize_chain = kernels.canonicalize_chain
+
+    def recorded(chain, chi, cutoff, site=None):
+        weights.append(canonicalize_chain(chain, chi, cutoff, site))
+        return weights[-1]
+
+    monkeypatch.setattr(kernels, "canonicalize_chain", recorded)
+    p = ModelParams(n_sites=6, gamma_plus=0.5, gamma_minus=0.5, gamma_z=0.2)
+    cfg = tj.TrajectoryConfig(params=p, chi=8, cutoff=1e-6, dt_obs=0.25,
+                              t_max=0.5, seed=0, dt=0.05, scheme=scheme)
+    tr = tj.run_trajectory(cfg, 0)
+    assert weights and tr.max_restore_trunc_weight == max(weights) > 0.0
+    assert tr.max_trunc_weight > 0.0
 
 
 @pytest.mark.parametrize("path", ["mps", "dense"])

@@ -19,11 +19,13 @@ def sweep_tables(p, basis, dt):
 
 def unfused_finite_step(st, tables, chi, cutoff):
     """TROTTER4_SEQUENCE applied sweep by sweep, bond by bond (36 layers)."""
+    n_bonds = len(st.lambdas)
+    odd, even = list(range(0, n_bonds, 2)), list(range(1, n_bonds, 2))
     max_tw = 0.0
     for frac, transposed in mpdo.TROTTER4_SEQUENCE:
-        for bond in kernels.sweep_bond_order(len(st.lambdas), transposed):
-            max_tw = max(max_tw, kernels.apply_bond_gate(
-                st, tables[frac][bond], bond, chi, cutoff))
+        for bond in (even[::-1] + odd[::-1] if transposed else odd + even):
+            max_tw = max(max_tw, kernels.apply_schedule(
+                st, [(bond, tables[frac][bond])], chi, cutoff))
     return max_tw
 
 
