@@ -49,12 +49,17 @@ at every bond ``b`` of that parity, left to right. Bonds of one parity share
 no site, so the order within a layer does not change the arithmetic. A
 normal sweep is the layer of parity 0 then the layer of parity 1; a
 transposed sweep is the reverse (``SWEEP_PARITIES``), so it is the exact
-reverse-ordered product of the normal one. The dense mirror of the
-conditional trajectory scheme walks the same ``layer_schedule``. A chain
-with as many bonds as sites is a periodic cell (``Chain.cell``, the
-infinite-chain unit cell): its last bond wraps around to site 0, and the
-outer lambdas and charge labels of every bond update wrap with it, so a
-labelled cell takes the same block SVD as a finite chain.
+reverse-ordered product of the normal one. Every time step is built from
+one layer-fusion rule, ``fuse_sweeps``: it lays a sequence of
+``(fraction, transposed)`` sweeps out as ``(parity, fraction)`` layers and
+merges adjacent layers of one parity by adding their fractions. The MPDO's
+fourth-order step is 25 such layers and a trajectory's n Strang substeps
+are 2n + 1; the dense mirror of the conditional trajectory scheme walks the
+same schedule. A chain with as many bonds as sites is a periodic cell
+(``Chain.cell``, the infinite-chain unit cell): its last bond wraps around
+to site 0, and the outer lambdas and charge labels of every bond update
+wrap with it, so a labelled cell takes the same block SVD as a finite
+chain.
 """
 
 from dataclasses import dataclass, field, replace
@@ -68,6 +73,7 @@ __all__ = [
     "bond_update",
     "bond_update_nogate",
     "SWEEP_PARITIES",
+    "fuse_sweeps",
     "apply_schedule",
     "layer_schedule",
     "sweep_chain",
@@ -407,13 +413,33 @@ def layer_schedule(layers, n_bonds):
 SWEEP_PARITIES = ((0, 1), (1, 0))
 
 
+def fuse_sweeps(sweeps):
+    """The one layer-fusion rule: (fraction, transposed) sweeps as layers.
+
+    Returns a tuple of ``(parity, fraction)`` layers. A sweep's layers take
+    the parities of ``SWEEP_PARITIES``. Adjacent layers on the same bonds
+    apply exp(G_b a) exp(G_b b) with one bond generator G_b, which is
+    exactly exp(G_b (a + b)), so they merge into one layer whose fraction
+    is the sum. A Strang pair, ``(1, False), (1, True)``, is three layers
+    with fractions 1, 2, 1; n pairs are 2n + 1 layers, 1, 2, ..., 2, 1.
+    """
+    layers = []
+    for frac, transposed in sweeps:
+        for parity in SWEEP_PARITIES[transposed]:
+            if layers and layers[-1][0] == parity:
+                layers[-1] = (parity, layers[-1][1] + frac)
+            else:
+                layers.append((parity, frac))
+    return tuple(layers)
+
+
 def sweep_chain(chain, gates, chi_max, cutoff, transposed=False):
     """One gate sweep over the whole chain; returns the max truncation weight.
 
     ``gates`` is a per-bond list (entries may repeat the same matrix); the
     chain is updated as by apply_schedule.
     """
-    layers = [(parity, gates) for parity in SWEEP_PARITIES[transposed]]
+    layers = [(parity, gates) for parity, _ in fuse_sweeps([(1, transposed)])]
     return apply_schedule(chain, layer_schedule(layers, len(chain.lambdas)),
                           chi_max, cutoff)
 

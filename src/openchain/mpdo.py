@@ -258,27 +258,10 @@ TROTTER4_SEQUENCE = (
 )
 
 
-def _fuse_sweeps(sweeps):
-    """Compile (fraction, transposed) sweeps into fused (parity, fraction) layers.
-
-    A sweep's layers take the parities of ``kernels.SWEEP_PARITIES``.
-    Adjacent layers on the same bonds apply exp(L_b a) exp(L_b b) with one
-    bond generator L_b, which is exactly exp(L_b (a + b)), so they merge
-    into one layer.
-    """
-    layers = []
-    for frac, transposed in sweeps:
-        for parity in kernels.SWEEP_PARITIES[transposed]:
-            if layers and layers[-1][0] == parity:
-                layers[-1] = (parity, layers[-1][1] + frac)
-            else:
-                layers.append((parity, frac))
-    return tuple(layers)
-
-
 # TROTTER4_SEQUENCE as 25 gate layers (36 before fusion): (parity, multiple of
-# dt/12), alternating parity and starting with parity 1; fractions 1, 2, -1.
-TROTTER4_LAYERS = _fuse_sweeps(TROTTER4_SEQUENCE)
+# dt/12) from the kernels' layer-fusion rule, alternating parity and starting
+# with parity 1; fractions 1, 2, -1.
+TROTTER4_LAYERS = kernels.fuse_sweeps(TROTTER4_SEQUENCE)
 _TROTTER4_FRACTIONS = sorted({frac for _, frac in TROTTER4_LAYERS})
 
 

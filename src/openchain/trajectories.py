@@ -5,9 +5,11 @@ Two schemes:
 * ``exact-jump-times``: valid whenever the summed L^dag L is proportional to
   the identity (balanced emission/absorption, dephasing, or both). Jump times
   are pre-sampled from the analytic norm decay, the state is evolved with the
-  Hermitian Hamiltonian only between jumps (second-order sweeps with adaptive
-  substeps landing exactly on jump and grid times), and the channel is drawn
-  from the instantaneous <L^dag L> weights. The substep gates come from
+  Hermitian Hamiltonian only between jumps, and the channel is drawn from the
+  instantaneous <L^dag L> weights. Between two jump or grid times the
+  interval is cut into n equal Strang substeps of length h, run as the
+  2n + 1 fused layers P0(h/2) P1(h) P0(h) ... P1(h) P0(h/2) of
+  ``kernels.fuse_sweeps``. The substep gates come from
   ``models.xxz_propagator``, one cached eigendecomposition of the bond
   Hamiltonian, so a substep of any length costs a 4x4 product. The chain
   carries U(1) S^z labels from its Neel start (``mps.label_charges``): H
@@ -17,7 +19,8 @@ Two schemes:
 * ``per-step-conditional``: first order in (rate * dt); handles arbitrary
   rates (the first-order conditional unraveling, Daley, Adv. Phys. 63, 77
   (2014)). Each step applies non-Hermitian two-site gates (the effective
-  Hamiltonian including -i/2 L^dag L), reads the channel weights from
+  Hamiltonian including -i/2 L^dag L) in the three fused layers
+  P0(h/2) P1(h) P0(h/2), reads the channel weights from
   ``mps.sz_any_gauge`` of the chain as the gates left it, conditionally
   fires each channel, and then canonicalizes once, whether or not a jump
   fired. The gates are ``models.expm`` of the per-bond generators. Channels
@@ -33,8 +36,8 @@ Two schemes:
 
 A dense mirror of the conditional scheme (same RNG consumption, same gate
 products) lives here too so jump logs can be compared against the exact
-solver bit for bit. It walks each sweep's ``kernels.layer_schedule``, as
-``kernels.sweep_chain`` does, so its gates run in the MPS path's order.
+solver bit for bit. It walks the MPS path's ``(bond, gate)`` schedule, the
+same three fused layers, so its gates run in the MPS path's order.
 ``run_dense_conditional`` is the package's one dense trajectory reference;
 ``tests/test_oracle.py`` validates it statistically against the Lindblad
 oracle (ensemble <sz>, inter-jump waiting times).
@@ -243,18 +246,33 @@ def _traj_rng(seed, traj_index):
     return np.random.default_rng(np.random.SeedSequence((int(seed), int(traj_index))))
 
 
+# One Strang step as sweeps of (multiple of h/2, transposed flag): a normal
+# then a transposed sweep of half a step each.
+_STRANG_PAIR = ((1, False), (1, True))
+
+
+def _strang_schedule(tables, n_pairs, n_bonds):
+    """(bond, gate) schedule of ``n_pairs`` Strang steps of length h.
+
+    ``tables`` maps 1 (h/2) and 2 (h) to per-bond gate lists. The layers
+    come from ``kernels.fuse_sweeps``: 2 n_pairs + 1 of them,
+    P0(h/2) P1(h) P0(h) ... P1(h) P0(h/2).
+    """
+    layers = [(parity, tables[frac]) for parity, frac
+              in kernels.fuse_sweeps(_STRANG_PAIR * n_pairs)]
+    return kernels.layer_schedule(layers, n_bonds)
+
+
 def _evolve_hermitian(state, gate_fn, duration, cap, chi, cutoff):
-    """Second-order sweeps (normal then transposed, half step each)."""
+    """n_sub Strang substeps under H, at most ``cap`` long, as one schedule."""
     if duration <= 1e-12:
         return 0.0
     n_sub = max(1, int(np.ceil(duration / cap - 1e-9)))
     h = duration / n_sub
-    gate = gate_fn(0.5 * h)
-    max_tw = 0.0
-    for _ in range(n_sub):
-        max_tw = max(max_tw, mps.sweep(state, gate, chi, cutoff, transposed=False))
-        max_tw = max(max_tw, mps.sweep(state, gate, chi, cutoff, transposed=True))
-    return max_tw
+    n_bonds = len(state.lambdas)
+    tables = {1: [gate_fn(0.5 * h)] * n_bonds, 2: [gate_fn(h)] * n_bonds}
+    return kernels.apply_schedule(
+        state, _strang_schedule(tables, n_sub, n_bonds), chi, cutoff)
 
 
 def _run_exact_jump_times(cfg: TrajectoryConfig, traj_index):
@@ -321,6 +339,13 @@ def build_effective_gates(p: ModelParams, h):
     return [gates[w] for w in weights]
 
 
+def _conditional_schedule(p: ModelParams, h):
+    """(bond, gate) schedule of one conditional step: P0(h/2) P1(h) P0(h/2)."""
+    tables = {1: build_effective_gates(p, 0.5 * h),
+              2: build_effective_gates(p, h)}
+    return _strang_schedule(tables, 1, p.n_sites - 1)
+
+
 def conditional_jump_mask(weights, h, rng):
     """One uniform per channel, in order; fires when u < 1 - exp(-w h)."""
     mask = np.zeros(len(weights), dtype=bool)
@@ -367,16 +392,15 @@ def _run_conditional(cfg: TrajectoryConfig, traj_index):
     state = mps.neel_mps(n)
     jumps = build_jump_ops(p)
     h, n_steps, rec_every = _conditional_grid(cfg)
-    gates = build_effective_gates(p, 0.5 * h)
+    schedule = _conditional_schedule(p, h)
     rec = _Recorder(cfg, bond_window(n))
     jump_log = []
     max_tw = max_restore_tw = 0.0
 
     rec.record(state, 0)
     for step in range(1, n_steps + 1):
-        for transposed in (False, True):
-            max_tw = max(max_tw, kernels.sweep_chain(
-                state, gates, cfg.chi, cfg.cutoff, transposed=transposed))
+        max_tw = max(max_tw, kernels.apply_schedule(
+            state, schedule, cfg.chi, cfg.cutoff))
         w = _weights_from_sz(mps.sz_any_gauge(state), jumps)
         mask = conditional_jump_mask(w, h, rng)
         fired = [jumps[k] for k in np.flatnonzero(mask)]
@@ -409,17 +433,14 @@ def run_dense_conditional(cfg: TrajectoryConfig, traj_index=0):
                  oracle.site_operator(j.matrix / np.sqrt(j.rate), j.site, n)
                  for j in jumps}
     h, n_steps, rec_every = _conditional_grid(cfg)
-    gates = build_effective_gates(p, 0.5 * h)
+    schedule = _conditional_schedule(p, h)
     n_rec = int(round(cfg.t_max / cfg.dt_obs))
     times = np.arange(n_rec + 1) * cfg.dt_obs
     sz_series = [oracle.dense_sz_pure(psi)]
     jump_log = []
     for step in range(1, n_steps + 1):
-        for transposed in (False, True):
-            layers = [(parity, gates)
-                      for parity in kernels.SWEEP_PARITIES[transposed]]
-            for bond, gate in kernels.layer_schedule(layers, n - 1):
-                psi = oracle.apply_two_site_dense(psi, gate, bond, n)
+        for bond, gate in schedule:
+            psi = oracle.apply_two_site_dense(psi, gate, bond, n)
         norm = np.linalg.norm(psi)
         _check_step_norm(norm, step * h, [])
         psi = psi / norm

@@ -45,6 +45,20 @@ def test_sweep_order_is_exact_reversal():
         assert rev == kernels.layer_schedule(sweeps[0][::-1], n_bonds)
 
 
+def test_fused_strang_pairs_are_two_n_plus_one_layers():
+    for n in (1, 2, 3, 6):
+        layers = kernels.fuse_sweeps(((1, False), (1, True)) * n)
+        assert len(layers) == 2 * n + 1
+        assert [par for par, _ in layers] == [k % 2 for k in range(2 * n + 1)]
+        assert [frac for _, frac in layers] == [1] + [2] * (2 * n - 1) + [1]
+
+
+def test_a_single_sweep_is_not_fused():
+    for transposed in (False, True):
+        assert kernels.fuse_sweeps([(3, transposed)]) == tuple(
+            (parity, 3) for parity in kernels.SWEEP_PARITIES[transposed])
+
+
 def test_complex_gate_on_a_real_mpdo_raises_and_leaves_it_untouched():
     st = mpdo.neel_mpdo(4, pauli_basis())
     p = ModelParams(n_sites=4, gamma_z=0.5)

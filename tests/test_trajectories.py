@@ -5,7 +5,8 @@ import pytest
 from scipy import stats
 
 from openchain import kernels, mps, oracle, trajectories as tj
-from openchain.models import ModelParams, build_jump_ops, build_xxz_gate
+from openchain.models import ModelParams, build_jump_ops, build_xxz_gate, \
+    xxz_propagator
 
 
 def config(**kw):
@@ -198,6 +199,62 @@ def test_scheme_b_jump_log_matches_dense_mirror():
         jl, _, sz = tj.run_dense_conditional(cfg, idx)
         assert tr.jump_log == jl
         assert np.max(np.abs(tr.sz - sz)) <= 1e-10
+
+
+def dense_with_scale(st):
+    return mps.to_dense(st) * np.exp(st.log_scale)
+
+
+@pytest.mark.parametrize("n_sub", [1, 2, 3])
+def test_fused_hermitian_substeps_equal_the_sweep_pairs(n_sub):
+    """Without truncation, 2 n_sub + 1 fused layers are the 4 n_sub unfused."""
+    p = ModelParams(n_sites=6, gamma_plus=0.3, gamma_minus=0.3, gamma_z=0.2)
+    gate_fn = xxz_propagator(p)
+    fused = mps.label_charges(mps.neel_mps(6))
+    unfused = fused.copy()
+    h = 0.3
+    assert tj._evolve_hermitian(fused, gate_fn, n_sub * h, h, 64, 0.0) <= 1e-14
+    half = gate_fn(0.5 * h)
+    for _ in range(n_sub):
+        for transposed in (False, True):
+            mps.sweep(unfused, half, 64, 0.0, transposed=transposed)
+    assert np.max(np.abs(dense_with_scale(fused)
+                         - dense_with_scale(unfused))) <= 1e-12
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 3])
+def test_fused_conditional_steps_equal_the_sweep_pairs(n_steps):
+    """The non-unitary gates fuse too: exp(G h/2) exp(G h/2) = exp(G h)."""
+    p = ModelParams(n_sites=6, gamma_plus=1.0, gamma_minus=2.0, gamma_z=0.5)
+    h = 0.2
+    schedule = tj._conditional_schedule(p, h)
+    half = tj.build_effective_gates(p, 0.5 * h)
+    fused = mps.neel_mps(6)
+    unfused = fused.copy()
+    for _ in range(n_steps):
+        kernels.apply_schedule(fused, schedule, 64, 0.0)
+        for transposed in (False, True):
+            kernels.sweep_chain(unfused, half, 64, 0.0, transposed=transposed)
+    assert np.max(np.abs(dense_with_scale(fused)
+                         - dense_with_scale(unfused))) <= 1e-12
+
+
+@pytest.mark.parametrize("n_sub", [1, 2, 3])
+def test_hermitian_interval_takes_two_n_sub_plus_one_layers(monkeypatch,
+                                                           n_sub):
+    bonds = []
+    update = kernels._update_bond
+
+    def counted(chain, gate, bond, *args):
+        bonds.append(bond)
+        return update(chain, gate, bond, *args)
+
+    monkeypatch.setattr(kernels, "_update_bond", counted)
+    p = ModelParams(n_sites=6, gamma_plus=0.3, gamma_minus=0.3)
+    st = mps.label_charges(mps.neel_mps(6))
+    tj._evolve_hermitian(st, xxz_propagator(p), 0.25 * n_sub, 0.25, 64, 1e-12)
+    even, odd = [0, 2, 4], [1, 3]
+    assert bonds == even + (odd + even) * n_sub
 
 
 def test_conditional_scheme_canonicalizes_once_per_step(monkeypatch):

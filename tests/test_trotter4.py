@@ -66,6 +66,14 @@ def ring_coefficients(st):
     return np.einsum("kab,lba->kl", pair, pair) * np.exp(2 * st.log_scale)
 
 
+def test_fused_schedule_is_pinned():
+    assert mpdo.TROTTER4_LAYERS == (
+        (1, 1), (0, 2), (1, 2), (0, -1), (1, -1), (0, 1), (1, 1), (0, 1),
+        (1, 1), (0, 1), (1, 1), (0, 2), (1, 2), (0, 2), (1, 1), (0, 1),
+        (1, 1), (0, 1), (1, 1), (0, 1), (1, -1), (0, -1), (1, 2), (0, 2),
+        (1, 1))
+
+
 def test_fused_schedule_structure():
     layers = mpdo.TROTTER4_LAYERS
     assert len(layers) == 25
