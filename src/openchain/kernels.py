@@ -19,7 +19,9 @@ The object is exp(``log_scale``) times the network; every kernel entry point
 (``apply_schedule``, ``sweep_chain``, ``canonicalize_chain``) updates the
 chain in place, divides the kept norm of each bond update out of it, adds
 the summed log of those norms to ``log_scale`` once per call and returns
-the largest truncation weight of the call.
+the largest truncation weight of the call. ``entropies`` reads the Schmidt
+entropy (``schmidt_entropy``) of every bond of any chain: the trajectory
+entanglement of a pure state and the operator entanglement of an MPDO.
 
 Charge labels (Singh, Pfeifer & Vidal, PRB 83, 115125 (2011), with dense
 tensors and integer labels) are read from the chain: ``charges``, one int
@@ -79,6 +81,7 @@ __all__ = [
     "sweep_chain",
     "canonicalize_chain",
     "schmidt_entropy",
+    "entropies",
 ]
 
 # Entries of a Schmidt vector at or below this floor are never divided by;
@@ -473,3 +476,8 @@ def schmidt_entropy(lam):
     if p.size == 0:
         return 0.0
     return float(-np.sum(p * np.log2(p)))
+
+
+def entropies(chain):
+    """Von Neumann entropy in bits of every bond's Schmidt vector, in bond order."""
+    return np.array([schmidt_entropy(lam) for lam in chain.lambdas])

@@ -7,7 +7,9 @@ exp(log_scale) times the network, so lambda renormalization never loses the
 physical trace; the trace itself is pinned back to one after every Trotter
 step. All gate application goes through the shared bond kernel; this module
 holds the physics: initial states, observables, the Trotter schedule and the
-infinite cell's gauge.
+infinite cell's gauge. A finite chain's Tr rho and <sigma^z> are ``trace`` and
+``all_sz``; the operator entanglement of every bond, finite chain or cell,
+is ``kernels.entropies``.
 
 Finite chains use gate sweeps over all bonds; the translation-invariant
 infinite chain keeps a two-site unit cell (``Chain.cell``) with tensors
@@ -41,13 +43,12 @@ There is no checkpoint format: no run path saves or resumes a chain.
 import numpy as np
 
 from . import kernels
-from .models import ID2, ModelParams, SZ, build_super_gates, pauli_basis
+from .models import ModelParams, SZ, build_super_gates, pauli_basis
 
 __all__ = [
     "DegenerateTransferError",
     "product_mpdo", "neel_mpdo", "mpdo_from_dense",
-    "canonicalize", "operator_entanglement", "entropies",
-    "trace", "local_expectation", "all_sz", "renormalize_trace",
+    "canonicalize", "trace", "all_sz", "renormalize_trace",
     "TROTTER4_SEQUENCE", "TROTTER4_LAYERS", "build_trotter4_gates", "trotter4_step",
     "itebd_trotter4_step", "reorthogonalize", "itebd_trace_eigenvalue",
     "itebd_sz", "itebd_renormalize",
@@ -175,14 +176,6 @@ def canonicalize(state: kernels.Chain, chi, cutoff):
     return kernels.canonicalize_chain(state, chi, cutoff)
 
 
-def operator_entanglement(state: kernels.Chain, bond):
-    return kernels.schmidt_entropy(state.lambdas[bond])
-
-
-def entropies(state: kernels.Chain):
-    return np.array([kernels.schmidt_entropy(l) for l in state.lambdas])
-
-
 def _trace_vector(basis):
     v = np.array([np.trace(e) for e in basis.elements])
     return v.real if basis.flavor == "pauli" else v
@@ -201,16 +194,12 @@ def _site_matrices(state, vec):
 
 
 def trace(state: kernels.Chain):
-    """Tr rho of a finite-chain MPDO (includes the tracked scale)."""
-    return local_expectation(state, ID2, 0)
+    """Tr rho of a finite-chain MPDO (includes the tracked scale).
 
-
-def local_expectation(state: kernels.Chain, op, site):
-    """Tr(op_site rho) for a finite chain."""
-    tvec = _trace_vector(state.basis)
-    mats = _site_matrices(state, tvec)
-    mats[site] = np.tensordot(_op_vector(op, state.basis), state.tensors[site],
-                              axes=(0, 1))
+    The product, left to right, of each site's trace matrix with the lambda
+    of the bond after it.
+    """
+    mats = _site_matrices(state, _trace_vector(state.basis))
     acc = mats[0]
     for k in range(1, state.n_sites):
         acc = (acc * state.lambdas[k - 1][None, :]) @ mats[k]

@@ -7,6 +7,14 @@ kernel has divided out, which keeps trajectory states normalized. All gate
 application goes through the shared bond kernel in ``kernels``; this module
 holds the physics: initial states, observables and jumps.
 
+Two readers give <sigma^z> of every site. ``all_sz`` reads each site's
+one-site theta and is valid only on a canonical chain: the trajectory
+recorder and the exact-jump-times scheme's channel weights and jumps call
+it. ``sz_any_gauge`` contracts transfer matrices from both ends and reads a
+chain in any gauge: the per-step-conditional scheme calls it on the chain
+its non-unitary gates left. Bond entropies are read by
+``kernels.entropies``.
+
 Charge labels: the XXZ Hamiltonian conserves S^z, and the jumps sigma+ and
 sigma- move it by one. A chain may therefore carry U(1) ``charges``: one int
 array per bond, aligned with ``lambdas``, holding the number of down spins
@@ -27,8 +35,7 @@ from . import kernels
 __all__ = [
     "neel_mps", "product_mps", "label_charges",
     "sweep", "canonicalize", "apply_site_op",
-    "bond_entropy", "entropies", "local_expectation", "all_sz",
-    "sz_any_gauge", "check_canonical", "to_dense",
+    "all_sz", "sz_any_gauge", "check_canonical", "to_dense",
 ]
 
 
@@ -117,44 +124,23 @@ def apply_site_op(state: kernels.Chain, op, site):
     state.tensors[site] = np.einsum("st,atb->asb", op, state.tensors[site])
 
 
-def bond_entropy(state: kernels.Chain, bond):
-    """Von Neumann entropy in bits across ``bond``; 0 for bond dimension 1."""
-    return kernels.schmidt_entropy(state.lambdas[bond])
-
-
-def entropies(state: kernels.Chain):
-    return np.array([kernels.schmidt_entropy(l) for l in state.lambdas])
-
-
-def _site_theta(state: kernels.Chain, site):
-    g = state.tensors[site]
-    th = g.copy()
-    if site > 0:
-        th = th * state.lambdas[site - 1].reshape(-1, 1, 1)
-    if site < state.n_sites - 1:
-        th = th * state.lambdas[site].reshape(1, 1, -1)
-    return th
-
-
-def local_expectation(state: kernels.Chain, op, site):
-    """<psi|op_site|psi> / <psi|psi> of a canonical chain; the real part.
-
-    Reads the one-site theta lambda_{site-1} Gamma_site lambda_site, which
-    holds the whole expectation only in canonical form. Callers: the
-    trajectory recorder (through ``all_sz``) and the exact-jump-times scheme
-    (channel selection and ``apply_jump``). A chain in any other gauge is
-    read by ``sz_any_gauge``.
-    """
-    th = _site_theta(state, site)
-    val = np.einsum("asb,st,atb->", th.conj(), np.asarray(op, dtype=complex), th)
-    nrm = np.einsum("asb,asb->", th.conj(), th)
-    return float((val / nrm).real)
-
-
 def all_sz(state: kernels.Chain):
-    """<sigma^z> of every site of a canonical chain (see local_expectation)."""
-    sz = np.array([[1.0, 0.0], [0.0, -1.0]])
-    return np.array([local_expectation(state, sz, i) for i in range(state.n_sites)])
+    """<sigma^z> of every site of a canonical chain.
+
+    Site k reads its one-site theta lambda_{k-1} Gamma_k lambda_k (outer
+    bonds weight 1), which in canonical form holds the site's whole reduced
+    state: (|theta_up|^2 - |theta_down|^2) / |theta|^2. A chain in any other
+    gauge is read by ``sz_any_gauge``.
+    """
+    n = state.n_sites
+    sz = np.empty(n)
+    for k, g in enumerate(state.tensors):
+        th = g * state.lambdas[k - 1].reshape(-1, 1, 1) if k > 0 else g
+        if k < n - 1:
+            th = th * state.lambdas[k].reshape(1, 1, -1)
+        up, down = np.einsum("asb,asb->s", th.conj(), th).real
+        sz[k] = (up - down) / (up + down)
+    return sz
 
 
 def sz_any_gauge(state: kernels.Chain):
@@ -164,7 +150,9 @@ def sz_any_gauge(state: kernels.Chain):
     transfer matrices R_k contract sites k..N-1 and a prefix L walks from
     the left; site k reads tr(L_k^{sz} R_{k+1}) / tr(L_k^{1} R_{k+1}).
     O(N chi^3), every contraction a 2-D matmul. Unlike all_sz it needs no
-    canonical form, so a chain after non-unitary gates is read as it stands.
+    canonical form, so a chain after non-unitary gates is read as it stands;
+    on a canonical chain all_sz reads the same values at a fraction of the
+    cost.
     """
     n = state.n_sites
     a = [g * lam.reshape(1, 1, -1) for g, lam in zip(state.tensors, state.lambdas)]
@@ -190,17 +178,26 @@ def sz_any_gauge(state: kernels.Chain):
 
 
 def check_canonical(state: kernels.Chain):
-    """Max deviation of the left/right canonical-form identities over all sites."""
+    """Largest lambda-weighted deviation from canonical form over all sites.
+
+    With A_k = lambda_{k-1} Gamma_k and B_k = Gamma_k lambda_k (outer bonds
+    weight 1), reads max |lambda_k (sum_s A^dag A - I) lambda_k| and
+    max |lambda_{k-1} (sum_s B B^dag - I) lambda_{k-1}|. The weights keep
+    directions whose lambda sits near the cutoff, where Gamma = U / lambda
+    amplifies rounding, from reading as a broken gauge.
+    """
     worst = 0.0
     n = state.n_sites
-    for k in range(n):
-        g = state.tensors[k]
-        a = g * state.lambdas[k - 1].reshape(-1, 1, 1) if k > 0 else g
-        left = np.einsum("asb,asc->bc", a.conj(), a)
-        worst = max(worst, float(np.max(np.abs(left - np.eye(left.shape[0])))))
-        b = g * state.lambdas[k].reshape(1, 1, -1) if k < n - 1 else g
-        right = np.einsum("asb,csb->ac", b, b.conj())
-        worst = max(worst, float(np.max(np.abs(right - np.eye(right.shape[0])))))
+    one = np.ones(1)
+    for k, g in enumerate(state.tensors):
+        lam_l = state.lambdas[k - 1] if k > 0 else one
+        lam_r = state.lambdas[k] if k < n - 1 else one
+        a = g * lam_l.reshape(-1, 1, 1)
+        left = np.einsum("asb,asc->bc", a.conj(), a) - np.eye(len(lam_r))
+        b = g * lam_r.reshape(1, 1, -1)
+        right = np.einsum("asb,csb->ac", b, b.conj()) - np.eye(len(lam_l))
+        for dev, lam in ((left, lam_r), (right, lam_l)):
+            worst = max(worst, float(np.max(np.abs(lam[:, None] * dev * lam))))
     return worst
 
 

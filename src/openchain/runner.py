@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, mpdo, oracle, trajectories as tj, traces
+from . import __version__, kernels, mpdo, oracle, trajectories as tj, traces
 from .models import ModelParams, linearized_basis, pauli_basis
 
 __all__ = [
@@ -195,10 +195,9 @@ def _run_mpdo(cfg: RunConfig, outdir):
     rows = []
 
     def record(t):
-        ent = [mpdo.operator_entanglement(state, b) for b in window]
-        sz = mpdo.all_sz(state)
-        rows.append([t, mpdo.operator_entanglement(state, center),
-                     float(np.mean(ent)), *sz, mpdo.trace(state)])
+        ent = kernels.entropies(state)
+        rows.append([t, ent[center], float(np.mean(ent[window])),
+                     *mpdo.all_sz(state), mpdo.trace(state)])
 
     record(0.0)
     max_drift = 0.0
@@ -233,8 +232,7 @@ def _run_itebd(cfg: RunConfig, outdir):
         mpdo.reorthogonalize(state, cfg.chi, cfg.cutoff)
         eta = mpdo.itebd_renormalize(state)
         za, zb = mpdo.itebd_sz(state)
-        s_ab = mpdo.operator_entanglement(state, 0)
-        s_ba = mpdo.operator_entanglement(state, 1)
+        s_ab, s_ba = kernels.entropies(state)
         rows.append([t, s_ab, 0.5 * (s_ab + s_ba), za, zb, eta])
 
     refresh_and_record(0.0)

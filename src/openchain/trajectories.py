@@ -6,7 +6,9 @@ Two schemes:
   the identity (balanced emission/absorption, dephasing, or both). Jump times
   are pre-sampled from the analytic norm decay, the state is evolved with the
   Hermitian Hamiltonian only between jumps, and the channel is drawn from the
-  instantaneous <L^dag L> weights. Between two jump or grid times the
+  instantaneous <L^dag L> weights, read from ``mps.all_sz`` of the canonical
+  chain; ``apply_jump`` reads the jumped site's weight the same way, applies
+  the jump and restores canonical form. Between two jump or grid times the
   interval is cut into n equal Strang substeps of length h, run as the
   2n + 1 fused layers P0(h/2) P1(h) P0(h) ... P1(h) P0(h/2) of
   ``kernels.fuse_sweeps``. The substep gates come from
@@ -128,11 +130,7 @@ def channel_weights(state, jumps):
 
 
 def _weights_from_sz(sz, jumps):
-    """<L^dag L> for every channel from the site magnetizations ``sz``.
-
-    ``sz`` is indexed by site: an array over the chain, or a mapping that
-    holds the sites of ``jumps``.
-    """
+    """<L^dag L> for every channel from the site magnetizations ``sz``."""
     w = np.empty(len(jumps))
     for k, j in enumerate(jumps):
         if j.channel == "+":
@@ -158,8 +156,10 @@ def select_jump_channel(state, jumps, rng):
 def apply_jump(state, jump, chi, cutoff):
     """Apply a jump operator and restore canonical form / normalization.
 
-    The chain must be canonical; the jumped site's weight is read locally,
-    and the restore runs N-1 bond updates around the jumped site. A labelled
+    The chain must be canonical; the jumped site's weight is read from
+    ``mps.all_sz``, and the restore runs N-1 bond updates around the jumped
+    site. Raises FloatingPointError, naming the channel and site, when the
+    jump would annihilate the state. A labelled
     chain's charges follow the jump. Returns the restore's largest
     truncation weight.
     """
@@ -167,8 +167,7 @@ def apply_jump(state, jump, chi, cutoff):
         # unitary and diagonal: Schmidt vectors are untouched
         mps.apply_site_op(state, SZ, jump.site)
         return 0.0
-    sz = {jump.site: mps.local_expectation(state, SZ, jump.site)}
-    weight = _weights_from_sz(sz, [jump])[0] / jump.rate
+    weight = _weights_from_sz(mps.all_sz(state), [jump])[0] / jump.rate
     if weight < 1e-28:
         raise FloatingPointError(
             f"post-jump norm {np.sqrt(max(weight, 0.0)):.2e} below 1e-14 "
@@ -224,10 +223,10 @@ class _Recorder:
         self.k = 0
 
     def record(self, state, n_jumps):
-        ent = np.array([mps.bond_entropy(state, b) for b in self.tracked])
+        ents = kernels.entropies(state)
+        ent = ents[self.tracked]
         self.bond_entropies[self.k] = ent
-        center = (state.n_sites - 2) // 2
-        self.s_center[self.k] = mps.bond_entropy(state, center)
+        self.s_center[self.k] = ents[(state.n_sites - 2) // 2]
         self.s_bond_avg[self.k] = float(ent.mean())
         self.sz[self.k] = mps.all_sz(state)
         self.jumps_cum[self.k] = n_jumps

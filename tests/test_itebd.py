@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from openchain import mpdo, runner
+from openchain import kernels, mpdo, runner
 from openchain.models import ModelParams, linearized_basis, pauli_basis
 
 PAULI = pauli_basis()
@@ -147,8 +147,7 @@ def test_staggered_magnetization_matches_finite_bulk():
 def test_operator_entanglement_grows_then_reads_consistently():
     p = ModelParams(gamma_plus=0.5, gamma_minus=0.5)
     st = run_itebd(p, 0.1, 1.0, chi=64)
-    s_ab = mpdo.operator_entanglement(st, 0)
-    s_ba = mpdo.operator_entanglement(st, 1)
+    s_ab, s_ba = kernels.entropies(st)
     assert 0.0 < s_ab <= np.log2(64)
     assert 0.0 < s_ba <= np.log2(64)
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from openchain import kernels, mpdo
-from openchain.models import ModelParams, pauli_basis
+from openchain import kernels, mpdo, mps
+from openchain.models import ModelParams, build_xxz_gate, pauli_basis
 
 
 def random_vidal_bond(rng, chi, d, dtype):
@@ -116,11 +116,42 @@ def test_split_rank_one():
     assert s[0] == pytest.approx(2.0)
 
 
+def test_svd_diag_truncation():
+    _, s, _, tw = split(np.diag([3.0, 2.0, 1.0]), 2, 1e-12)
+    assert np.allclose(s, [3.0, 2.0])
+    assert tw == pytest.approx(1.0)
+
+
+def test_svd_identity():
+    _, s, _, tw = split(np.eye(2), 2, 1e-12)
+    assert np.allclose(s, [1.0, 1.0])
+    assert tw == 0.0
+
+
 def test_schmidt_entropy():
     assert kernels.schmidt_entropy(np.array([1.0])) == 0.0
     assert kernels.schmidt_entropy(np.array([np.sqrt(0.5), np.sqrt(0.5)])) == \
         pytest.approx(1.0)
     assert kernels.schmidt_entropy(np.array([1.0, 0.0])) == 0.0
+
+
+def test_entropies_read_every_bond_of_every_chain():
+    rates = dict(gamma_plus=0.3, gamma_minus=0.6, gamma_z=0.2)
+    p = ModelParams(n_sites=6, **rates)
+    pure = mps.neel_mps(6)
+    for _ in range(4):
+        mps.sweep(pure, build_xxz_gate(p, 0.2), 16, 1e-12)
+    finite, cell = mpdo.neel_mpdo(6), mpdo.neel_mpdo(None)
+    finite_gates = mpdo.build_trotter4_gates(p, pauli_basis(), 0.2)
+    cell_gates = mpdo.build_trotter4_gates(ModelParams(**rates), pauli_basis(), 0.2)
+    for _ in range(2):
+        mpdo.trotter4_step(finite, finite_gates, 16, 1e-12)
+        mpdo.itebd_trotter4_step(cell, cell_gates, 16, 1e-12)
+    for chain in (pure, finite, cell):
+        ent = kernels.entropies(chain)
+        assert ent.tolist() == [kernels.schmidt_entropy(lam)
+                                for lam in chain.lambdas]
+        assert ent.min() > 0.1
 
 
 def test_split_sums_and_inverses_match_the_scalar_loops():

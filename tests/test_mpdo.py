@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from openchain import kernels, mpdo, oracle
-from openchain.models import ModelParams, SX, SZ, build_super_gates, \
+from openchain.models import ModelParams, build_super_gates, \
     linearized_basis, pauli_basis
 
 PAULI = pauli_basis()
@@ -26,7 +26,7 @@ def test_neel_mpdo_basics():
     st = mpdo.neel_mpdo(4, PAULI)
     assert mpdo.trace(st) == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(mpdo.all_sz(st), [1, -1, 1, -1])
-    assert np.allclose(mpdo.entropies(st), 0.0)
+    assert np.allclose(kernels.entropies(st), 0.0)
     assert st.tensors[0].dtype == np.float64
     with pytest.raises(ValueError):
         mpdo.neel_mpdo(5, PAULI)
@@ -36,17 +36,17 @@ def test_zero_step_super_gate_is_identity():
     p = ModelParams(n_sites=4, gamma_plus=0.3, gamma_minus=0.3)
     st = evolve(p, 0.1, 0.5)
     before_sz = mpdo.all_sz(st)
-    before_s = mpdo.entropies(st)
+    before_s = kernels.entropies(st)
     for bond, g in enumerate(build_super_gates(p, PAULI, 0.0)):
         kernels.apply_schedule(st, [(bond, g)], 64, 1e-14)
     assert np.max(np.abs(mpdo.all_sz(st) - before_sz)) <= 1e-12
-    assert np.max(np.abs(mpdo.entropies(st) - before_s)) <= 1e-12
+    assert np.max(np.abs(kernels.entropies(st) - before_s)) <= 1e-12
 
 
 def test_two_site_hamiltonian_evolution_matches_cosine():
     p = ModelParams(n_sites=2)
     st = evolve(p, 0.05, 1.1)
-    assert mpdo.local_expectation(st, SZ, 0) == pytest.approx(np.cos(1.1), abs=1e-8)
+    assert mpdo.all_sz(st)[0] == pytest.approx(np.cos(1.1), abs=1e-8)
 
 
 def test_pure_dephasing_decays_offdiagonal_coefficients():
@@ -54,10 +54,12 @@ def test_pure_dephasing_decays_offdiagonal_coefficients():
     p = ModelParams(n_sites=4, j=0.0, delta=0.0, gamma_z=gz)
     st = mpdo.product_mpdo([PLUS] * 4, PAULI)
     st = evolve(p, 0.2, 1.0, state=st)
+    # a bond-dimension-1 site tensor holds the Pauli coefficients (I, X, Y, Z)
+    # of its site, so <sx> / Tr rho is the X over I ratio
     for site in range(4):
-        assert mpdo.local_expectation(st, SX, site) == \
-            pytest.approx(np.exp(-2 * gz), abs=1e-10)
-        assert mpdo.local_expectation(st, SZ, site) == pytest.approx(0.0, abs=1e-10)
+        c = st.tensors[site].reshape(4)
+        assert c[1] / c[0] == pytest.approx(np.exp(-2 * gz), abs=1e-10)
+        assert mpdo.all_sz(st)[site] == pytest.approx(0.0, abs=1e-10)
 
 
 def test_dissipation_only_is_exact():
@@ -88,19 +90,19 @@ def test_large_step_dephasing_still_converged():
     ref = oracle.dense_sz(rhos[-1])
     st = evolve(p, 2.0, 4.0)
     assert np.max(np.abs(mpdo.all_sz(st) - ref)) <= 5e-2
-    oe = mpdo.operator_entanglement(st, 1)
+    oe = kernels.entropies(st)[1]
     assert oe == pytest.approx(oracle.dense_oe(rhos[-1], 2), abs=5e-2)
 
 
 def test_operator_entanglement_examples():
     st = mpdo.product_mpdo([MIXED] * 4, PAULI)  # rho ~ identity
-    assert np.allclose(mpdo.entropies(st), 0.0)
-    assert np.allclose(mpdo.entropies(mpdo.neel_mpdo(4, PAULI)), 0.0)
+    assert np.allclose(kernels.entropies(st), 0.0)
+    assert np.allclose(kernels.entropies(mpdo.neel_mpdo(4, PAULI)), 0.0)
     bell = np.zeros(4, dtype=complex)
     bell[0] = bell[3] = 1 / np.sqrt(2)
     rho = np.outer(bell, bell.conj())
     st2 = mpdo.mpdo_from_dense(rho, PAULI)
-    assert mpdo.operator_entanglement(st2, 0) == pytest.approx(2.0, abs=1e-12)
+    assert kernels.entropies(st2)[0] == pytest.approx(2.0, abs=1e-12)
     assert oracle.dense_oe(rho, 1) == pytest.approx(2.0, abs=1e-12)
 
 
@@ -114,7 +116,7 @@ def test_mpdo_from_dense_roundtrip_observables():
         assert mpdo.trace(st) == pytest.approx(1.0, abs=1e-10)
         assert np.max(np.abs(mpdo.all_sz(st) - oracle.dense_sz(rho))) <= 1e-10
         for cut in (1, 2, 3):
-            assert mpdo.operator_entanglement(st, cut - 1) == \
+            assert kernels.entropies(st)[cut - 1] == \
                 pytest.approx(oracle.dense_oe(rho, cut), abs=1e-8)
 
 
@@ -129,7 +131,7 @@ def test_mpdo_matches_oracle(rates):
                                                tol=1e-11)
     st = evolve(p, 0.02, 2.0)
     assert np.max(np.abs(mpdo.all_sz(st) - oracle.dense_sz(rhos[-1]))) <= 1e-6
-    assert mpdo.operator_entanglement(st, 1) == \
+    assert kernels.entropies(st)[1] == \
         pytest.approx(oracle.dense_oe(rhos[-1], 2), abs=1e-5)
     assert mpdo.trace(st) == pytest.approx(1.0, abs=1e-8)
 
@@ -140,7 +142,7 @@ def test_linearized_basis_agrees_with_pauli():
     st_l = evolve(p, 0.1, 1.0, basis=linearized_basis())
     assert st_l.tensors[0].dtype == np.complex128
     assert np.max(np.abs(mpdo.all_sz(st_p) - mpdo.all_sz(st_l))) <= 1e-10
-    assert np.max(np.abs(mpdo.entropies(st_p) - mpdo.entropies(st_l))) <= 1e-8
+    assert np.max(np.abs(kernels.entropies(st_p) - kernels.entropies(st_l))) <= 1e-8
 
 
 def test_pauli_data_stays_real():
@@ -161,7 +163,7 @@ def test_delta_sign_flip_leaves_entropies_unchanged():
     base = dict(n_sites=4, gamma_plus=0.3, gamma_minus=0.3)
     st_pos = evolve(ModelParams(delta=1.0, **base), 0.05, 1.5)
     st_neg = evolve(ModelParams(delta=-1.0, **base), 0.05, 1.5)
-    assert np.max(np.abs(mpdo.entropies(st_pos) - mpdo.entropies(st_neg))) <= 1e-8
+    assert np.max(np.abs(kernels.entropies(st_pos) - kernels.entropies(st_neg))) <= 1e-8
     # and at the dense level
     _, rp = oracle.dense_lindblad_evolve(oracle.neel_rho(4),
                                          ModelParams(delta=1.0, **base), 1.5, 1.5)

@@ -3,8 +3,9 @@ import pytest
 
 from openchain import kernels, mps, oracle
 from openchain.analytics import two_spin_entropy
-from openchain.models import ModelParams, SM, SP, SZ, build_xxz_gate
-from openchain.trajectories import build_effective_gates
+from openchain.models import ModelParams, SM, SP, SZ, build_jump_ops, \
+    build_xxz_gate
+from openchain.trajectories import apply_jump, build_effective_gates
 
 P2 = ModelParams(n_sites=2)
 
@@ -17,41 +18,39 @@ def test_neel_requires_even():
 def test_neel_expectations_and_entropies():
     st = mps.neel_mps(6)
     assert np.allclose(mps.all_sz(st), [1, -1, 1, -1, 1, -1])
-    assert np.allclose(mps.entropies(st), 0.0)
-    assert mps.local_expectation(st, SZ, 0) == pytest.approx(1.0)
-    assert mps.local_expectation(st, SZ, 1) == pytest.approx(-1.0)
+    assert np.allclose(kernels.entropies(st), 0.0)
 
 
 def test_identity_gate_is_noop():
     st = mps.neel_mps(4)
     kernels.apply_schedule(st, [(1, build_xxz_gate(P2, 0.4))], 16, 1e-12)
     before_sz = mps.all_sz(st)
-    before_s = mps.entropies(st)
+    before_s = kernels.entropies(st)
     tw = kernels.apply_schedule(st, [(1, np.eye(4))], 16, 1e-12)
     assert tw <= 1e-12
     assert np.max(np.abs(mps.all_sz(st) - before_sz)) <= 1e-12
-    assert np.max(np.abs(mps.entropies(st) - before_s)) <= 1e-12
+    assert np.max(np.abs(kernels.entropies(st) - before_s)) <= 1e-12
 
 
 def test_two_spin_populations_and_entropy():
     t = 1.3
     st = mps.neel_mps(2)
     kernels.apply_schedule(st, [(0, build_xxz_gate(P2, t))], 8, 1e-14)
-    assert mps.local_expectation(st, SZ, 0) == pytest.approx(np.cos(t), abs=1e-10)
-    assert mps.bond_entropy(st, 0) == pytest.approx(two_spin_entropy(t), abs=1e-10)
+    assert mps.all_sz(st)[0] == pytest.approx(np.cos(t), abs=1e-10)
+    assert kernels.entropies(st)[0] == pytest.approx(two_spin_entropy(t), abs=1e-10)
     # populations of the reduced single spin
-    up_pop = 0.5 * (1 + mps.local_expectation(st, SZ, 0))
+    up_pop = 0.5 * (1 + mps.all_sz(st)[0])
     assert up_pop == pytest.approx(np.cos(t / 2) ** 2, abs=1e-10)
 
 
 def test_full_flip_resets_entropy():
     st = mps.neel_mps(2)
     kernels.apply_schedule(st, [(0, build_xxz_gate(P2, np.pi))], 8, 1e-14)
-    assert mps.bond_entropy(st, 0) <= 1e-8
+    assert kernels.entropies(st)[0] <= 1e-8
     st2 = mps.neel_mps(2)
     kernels.apply_schedule(st2, [(0, build_xxz_gate(P2, np.pi / 2))], 8,
                            1e-14)
-    assert mps.bond_entropy(st2, 0) == pytest.approx(1.0, abs=1e-10)
+    assert kernels.entropies(st2)[0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_bell_pair_entropy():
@@ -63,7 +62,7 @@ def test_bell_pair_entropy():
     bell[3, 3] = -1.0  # any completion; column 0 is what acts on |uu>
     q, _ = np.linalg.qr(bell)
     kernels.apply_schedule(st, [(0, q)], 8, 1e-14)
-    assert mps.bond_entropy(st, 0) == pytest.approx(1.0, abs=1e-12)
+    assert kernels.entropies(st)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_norm_and_magnetization_over_many_gates():
@@ -79,7 +78,7 @@ def test_norm_and_magnetization_over_many_gates():
     vec = mps.to_dense(st)
     assert abs(np.linalg.norm(vec) * np.exp(st.log_scale) - 1.0) <= 1e-8
     assert abs(np.sum(mps.all_sz(st))) <= 1e-8
-    assert np.all(mps.entropies(st) <= np.log2(32) + 1e-12)
+    assert np.all(kernels.entropies(st) <= np.log2(32) + 1e-12)
 
 
 def test_canonical_form_maintained_and_restorable():
@@ -132,6 +131,37 @@ def test_sz_any_gauge_reads_a_non_canonical_chain():
 
 def test_sz_any_gauge_on_neel_is_exact():
     assert mps.sz_any_gauge(mps.neel_mps(10)).tolist() == [1.0, -1.0] * 5
+
+
+def test_all_sz_matches_sz_any_gauge_and_the_dense_state():
+    n = 10
+    p = ModelParams(n_sites=n, delta=0.8, gamma_minus=1.0)
+    st = mps.label_charges(mps.neel_mps(n))
+    gate = build_xxz_gate(p, 0.1)
+    for transposed in (False, True) * 3:
+        mps.sweep(st, gate, 64, 0.0, transposed=transposed)
+    jump = next(j for j in build_jump_ops(p) if j.site == 4)   # sigma-
+    apply_jump(st, jump, 64, 0.0)
+    sz = mps.all_sz(st)
+    assert np.max(np.abs(sz - mps.sz_any_gauge(st))) <= 1e-13
+    vec = mps.to_dense(st)
+    assert np.max(np.abs(sz - oracle.dense_sz_pure(vec / np.linalg.norm(vec)))) <= 1e-13
+
+
+def test_check_canonical_trips_on_a_broken_gauge():
+    st = random_canonical_chain(10, 5)
+    assert mps.check_canonical(st) <= 1e-12
+    vec = mps.to_dense(st)
+    # Gamma_4 lambda_4 Gamma_5 = Gamma_4 lambda_4 X X^-1 Gamma_5: the state
+    # stays, the gauge of the centre bond breaks
+    lam = st.lambdas[4]
+    x = np.eye(len(lam)) + 0.1 * np.random.default_rng(0).standard_normal(
+        (len(lam), len(lam)))
+    st.tensors[4] = np.einsum("asb,bc->asc", st.tensors[4],
+                              lam[:, None] * x / lam[None, :])
+    st.tensors[5] = np.einsum("ab,bsc->asc", np.linalg.inv(x), st.tensors[5])
+    assert np.max(np.abs(mps.to_dense(st) - vec)) <= 1e-12
+    assert mps.check_canonical(st) > 1e-2
 
 
 def test_label_charges_counts_down_spins():

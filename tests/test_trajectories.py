@@ -99,7 +99,7 @@ def test_apply_jump_examples():
     st = mps.neel_mps(2)
     tj.apply_jump(st, jumps[(0, "-")], 8, 1e-12)
     assert np.allclose(mps.all_sz(st), [-1, -1])
-    assert mps.bond_entropy(st, 0) <= 1e-12
+    assert kernels.entropies(st)[0] <= 1e-12
 
     # a z jump leaves every Schmidt vector untouched
     pz = ModelParams(n_sites=2, gamma_z=1.0)
@@ -109,10 +109,13 @@ def test_apply_jump_examples():
     tj.apply_jump(st2, build_jump_ops(pz)[0], 8, 1e-12)
     assert np.array_equal(st2.lambdas[0], lam_before)
 
-    # vanishing-weight jump must raise
+    # sigma+ on an up spin has vanishing weight: it raises, names the jump
+    # and leaves the chain untouched
     st3 = mps.product_mps([[1, 0], [1, 0]])
-    with pytest.raises(FloatingPointError):
+    before = st3.copy()
+    with pytest.raises(FloatingPointError, match=r"channel \+ at site 0"):
         tj.apply_jump(st3, jumps[(0, "+")], 8, 1e-12)
+    assert all(np.array_equal(a, b) for a, b in zip(st3.tensors, before.tensors))
 
 
 def test_rare_jump_creates_bell_entropy():
@@ -128,7 +131,7 @@ def test_rare_jump_creates_bell_entropy():
         kernels.apply_schedule(st, [(bond, gate)], 16, 1e-16)
     jumps = {(j.site, j.channel): j for j in build_jump_ops(p)}
     tj.apply_jump(st, jumps[(1, "+")], 16, 1e-16)
-    assert mps.bond_entropy(st, 1) == pytest.approx(1.0, abs=1e-3)
+    assert kernels.entropies(st)[1] == pytest.approx(1.0, abs=1e-3)
     # dense cross-check with the exact propagator
     psi = np.zeros(16, dtype=complex)
     psi[0b1010] = 1.0  # |down up down up>, bit 1 = down
@@ -273,6 +276,28 @@ def test_conditional_scheme_canonicalizes_once_per_step(monkeypatch):
     tr = tj.run_trajectory(cfg)
     assert any(ch in "+-" for _, _, ch in tr.jump_log)
     assert calls == [None] * 10
+
+
+def test_conditional_chains_are_canonical_at_record_times(monkeypatch):
+    # four trajectories at the strong-dissipation benchmark's rates; the
+    # unweighted identities read up to 7e-2 here, in directions whose lambda
+    # sits near the cutoff
+    reads = []
+    record = tj._Recorder.record
+
+    def checked(self, state, n_jumps):
+        reads.append(mps.check_canonical(state))
+        record(self, state, n_jumps)
+
+    monkeypatch.setattr(tj._Recorder, "record", checked)
+    p = ModelParams(n_sites=32, gamma_plus=1.0, gamma_minus=2.0, gamma_z=0.5)
+    cfg = tj.TrajectoryConfig(params=p, chi=64, cutoff=1e-10, dt_obs=0.1,
+                              t_max=1.0, seed=0, dt=0.05,
+                              scheme="per-step-conditional")
+    for k in range(4):
+        tj.run_trajectory(cfg, k)
+    assert len(reads) == 44
+    assert max(reads) <= 1e-12
 
 
 @pytest.mark.parametrize("scheme", ["exact-jump-times", "per-step-conditional"])
