@@ -3,14 +3,15 @@
 The two-site bond update (theta assembly, gate contraction, SVD re-split,
 guarded lambda division) dominates runtime for every engine, so it lives here
 as one plain numpy kernel. Its split, ``_split_theta``, is the one truncated
-SVD of the package and ``_keep_count`` the one truncation rule: the bond
-updates, the infinite cell's re-orthogonalization and the dense-to-MPDO
-decomposition all split with them. ``perfbench/run.py`` measures end-to-end
-runs and, with ``--trace 1``, the time spent in each public function here; its
-per-update readings (bond dimension, call counts) come from ``bond_update``
-and ``bond_update_nogate``, which return the new lambda at index 1 and the
-new bond's charge labels last. Callers reach both through the module
-globals, which the tracer rebinds.
+SVD of the package and ``_keep_count`` the one truncation rule, called only
+from that split: the bond updates, the infinite cell's gauge cut and inner
+re-split and the dense-to-MPDO decomposition all split with it.
+``perfbench/run.py`` measures end-to-end runs and, with ``--trace 1``, the
+time spent in each public function here; its per-update readings (bond
+dimension, call counts) come from ``bond_update`` and ``bond_update_nogate``,
+which return the new lambda at index 1 and the new bond's charge labels
+last. Callers reach both through the module globals, which the tracer
+rebinds.
 
 The chain (``Chain``): Gamma tensors and per-bond Schmidt vectors in Vidal
 form, the same type for the pure state (physical dimension 2) and the

@@ -8,16 +8,18 @@ physical trace; the trace itself is pinned back to one after every Trotter
 step. All gate application goes through the shared bond kernel; this module
 holds the physics: initial states, observables, the Trotter schedule and the
 infinite cell's gauge. A finite chain's Tr rho and <sigma^z> are ``trace`` and
-``all_sz``; the operator entanglement of every bond, finite chain or cell,
-is ``kernels.entropies``.
+``all_sz``; the cell's are read from one eigendecomposition of its trace
+transfer matrix (``itebd_renormalize``, ``itebd_sz``). The operator
+entanglement of every bond, finite chain or cell, is ``kernels.entropies``.
 
 Finite chains use gate sweeps over all bonds; the translation-invariant
 infinite chain keeps a two-site unit cell (``Chain.cell``) with tensors
 (A, B) and bonds lambdas[0] = (A,B) inside the cell, lambdas[1] = (B,A)
 between cells, and is periodically re-orthogonalized from the
-transfer-operator fixed points. ``reorthogonalize`` and ``mpdo_from_dense``
-split with the bond kernel's split and truncation rule, like every gate, so
-the floored division by lambdas lives only in the kernel.
+transfer-operator fixed points. ``reorthogonalize`` (its gauge cut of the
+(B,A) bond and its re-split of the (A,B) bond) and ``mpdo_from_dense`` split
+with the bond kernel's ``_split_theta`` and its truncation rule, like every
+gate, so the cut and the floored division by lambdas live only in the kernel.
 
 Charge labels: the XXZ Hamiltonian and the jumps sigma+, sigma-, sigma-z all
 commute with the Z2 map rho -> (prod sz) rho (prod sz), under which every
@@ -31,7 +33,8 @@ keeps the same in every cell). ``product_mpdo`` sets the chain's site
 charges to the basis parities and its modulus to 2. Every gate layer,
 canonicalization and ``reorthogonalize`` keeps the charges up to date, and
 the bond kernel then SVDs the two charge blocks of each theta separately;
-``reorthogonalize`` also takes its square roots and gauge SVD per block.
+``reorthogonalize`` also factors its fixed points per block, so its gauge
+cut is a block split as well.
 ``neel_mpdo`` and ``product_mpdo`` label their bonds, finite chain and cell
 alike, when every site has a definite parity and the total is even;
 otherwise, and for ``mpdo_from_dense``, ``charges`` is None and the dense
@@ -50,8 +53,7 @@ __all__ = [
     "product_mpdo", "neel_mpdo", "mpdo_from_dense",
     "canonicalize", "trace", "all_sz", "renormalize_trace",
     "TROTTER4_SEQUENCE", "TROTTER4_LAYERS", "build_trotter4_gates", "trotter4_step",
-    "itebd_trotter4_step", "reorthogonalize", "itebd_trace_eigenvalue",
-    "itebd_sz", "itebd_renormalize",
+    "itebd_trotter4_step", "reorthogonalize", "itebd_sz", "itebd_renormalize",
 ]
 
 
@@ -122,7 +124,13 @@ def neel_mpdo(n, basis=None):
     return product_mpdo([_UP if i % 2 == 0 else _DOWN for i in range(n)], basis)
 
 
-def _dense_to_vidal(vec, d, n, chi, cutoff):
+# mpdo_from_dense's site cap, bond cap (4^4 never cuts) and cutoff
+_DENSE_MAX_SITES = 8
+_DENSE_CHI = 256
+_DENSE_CUTOFF = 1e-14
+
+
+def _dense_to_vidal(vec, d, n):
     """Split a dense (d^n,) coefficient vector into Vidal tensors/lambdas.
 
     Each cut is one bond-kernel split with the previous lambda on the left and
@@ -137,8 +145,8 @@ def _dense_to_vidal(vec, d, n, chi, cutoff):
     for k in range(n - 1):
         dl, dr = len(lam), d ** (n - k - 2)
         gam_l, lam, gam_r, kept, _, _ = kernels._split_theta(
-            rest.reshape(dl * d, d * dr), dl, d, dr, lam, np.ones(dr), chi,
-            cutoff)
+            rest.reshape(dl * d, d * dr), dl, d, dr, lam, np.ones(dr),
+            _DENSE_CHI, _DENSE_CUTOFF)
         log_scale += np.log(kept)
         tensors.append(gam_l)
         lambdas.append(lam)
@@ -147,12 +155,13 @@ def _dense_to_vidal(vec, d, n, chi, cutoff):
     return tensors, lambdas, log_scale
 
 
-def mpdo_from_dense(rho, basis, chi=256, cutoff=1e-14):
+def mpdo_from_dense(rho, basis):
     """Exact-to-truncation MPDO decomposition of a dense density matrix."""
     rho = np.asarray(rho, dtype=complex)
     n = int(round(np.log2(rho.shape[0])))
-    if n > 8:
-        raise ValueError(f"mpdo_from_dense capped at 8 sites, got {n}")
+    if n > _DENSE_MAX_SITES:
+        raise ValueError(
+            f"mpdo_from_dense capped at {_DENSE_MAX_SITES} sites, got {n}")
     # fuse (row bit, col bit) per site, then map onto the operator basis
     t = rho.reshape((2,) * (2 * n))
     perm = [x for k in range(n) for x in (k, n + k)]
@@ -167,7 +176,7 @@ def mpdo_from_dense(rho, basis, chi=256, cutoff=1e-14):
         if np.max(np.abs(coefs.imag)) > 1e-10:
             raise ValueError("pauli coefficients of a non-Hermitian operator")
         coefs = np.ascontiguousarray(coefs.real)
-    tensors, lambdas, log_scale = _dense_to_vidal(coefs, 4, n, chi, cutoff)
+    tensors, lambdas, log_scale = _dense_to_vidal(coefs, 4, n)
     return kernels.Chain(tensors, lambdas, log_scale=log_scale, basis=basis)
 
 
@@ -299,6 +308,11 @@ def itebd_trotter4_step(state: kernels.Chain, gates, chi, cutoff):
     return _run_trotter4(state, gates, 1, chi, cutoff)
 
 
+# power iteration of the transfer fixed points: tolerance and iteration cap
+_TRANSFER_TOL = 1e-10
+_TRANSFER_MAX_ITER = 4000
+
+
 def _transfer_fixed_point(mats, tol, max_iter):
     """Dominant fixed point of X -> sum_s M_s X M_s^dag by power iteration."""
     chi = mats.shape[1]
@@ -324,32 +338,33 @@ def _transfer_fixed_point(mats, tol, max_iter):
         "try a smaller time step or re-orthogonalize more often")
 
 
-def _herm_sqrt(blocks, floor=1e-14):
-    """PSD square-root factors of the diagonal blocks of one PSD matrix.
+def _psd_factor(v, blocks, floor=1e-14):
+    """v = x x^dag from the eigh of each charge block: (x, x^+, kept columns).
 
-    Returns (f, u, sqrt(w)) per block, with block = f f^dag; eigen-directions
-    at or below ``floor`` times the largest eigenvalue of all blocks are
-    dropped, as for the whole matrix.
+    Block ``idx``'s eigenvectors fill columns ``idx`` of u, so each column
+    keeps the charge of its bond index. Directions at or below ``floor``
+    times the largest eigenvalue are dropped; x = u sqrt(w) and
+    x^+ = w^(-1/2) u^dag on the kept columns.
     """
-    eigs = [np.linalg.eigh(0.5 * (v + v.conj().T)) for v in blocks]
-    top = max(w[-1] for w, _ in eigs)
-    out = []
-    for w, u in eigs:
-        keep = w > floor * top
-        out.append((u[:, keep] * np.sqrt(w[keep])[None, :], u[:, keep],
-                    np.sqrt(w[keep])))
-    return out
+    w = np.empty(len(v))
+    u = np.zeros_like(v)
+    for idx in blocks:
+        b = v[np.ix_(idx, idx)]
+        w[idx], u[np.ix_(idx, idx)] = np.linalg.eigh(0.5 * (b + b.conj().T))
+    keep = np.flatnonzero(w > floor * w.max())
+    u, s = u[:, keep], np.sqrt(w[keep])
+    return u * s[None, :], (1.0 / s)[:, None] * u.conj().T, keep
 
 
 def _charge_blocks(v_r, v_l, q):
-    """(label, indices) of each non-empty charge block of the (B,A) bond.
+    """Indices of each non-empty charge block of the (B,A) bond.
 
     An unlabelled bond (``q`` None) is one block. A labelled one raises
     DegenerateTransferError if either fixed point has an off-block entry
     above OFF_BLOCK_TOL times its largest entry.
     """
     if q is None:
-        return [(0, np.arange(len(v_r)))]
+        return [np.arange(len(v_r))]
     for side, v in (("right", v_r), ("left", v_l)):
         off, scale = kernels._off_block(v, q)
         if off > kernels.OFF_BLOCK_TOL * scale:
@@ -357,12 +372,10 @@ def _charge_blocks(v_r, v_l, q):
                 f"{side} transfer fixed point couples Z2 charge sectors of a "
                 f"labelled cell: largest off-block entry {off:.3e} "
                 f"(max |entry| {scale:.3e})")
-    blocks = [(g, np.flatnonzero(q == g)) for g in (0, 1)]
-    return [(g, idx) for g, idx in blocks if idx.size]
+    return [idx for idx in (np.flatnonzero(q == g) for g in (0, 1)) if idx.size]
 
 
-def reorthogonalize(state: kernels.Chain, chi=None, cutoff=1e-14, tol=1e-10,
-                    max_iter=4000):
+def reorthogonalize(state: kernels.Chain, chi, cutoff):
     """Restore the canonical form of the infinite unit cell.
 
     Fuses the cell across the outer (B,A) bond, gauges that bond from the
@@ -372,21 +385,20 @@ def reorthogonalize(state: kernels.Chain, chi=None, cutoff=1e-14, tol=1e-10,
     at O(16 chi^3); each power-iteration step of a fixed point is likewise
     two matmuls.
 
+    The gauge cut is the kernel's split too: with the fixed points factored
+    as v_r = x x^dag and v_l = y y^dag, ``kernels._split_theta`` splits
+    y^dag lambda x = U lambda_new V^dag (physical dimension 1, unit outer
+    lambdas) by the one truncation rule, and P = (y^+)^dag U, Q = V^dag x^+.
     On a labelled cell both fixed points are block-diagonal in the (B,A)
-    bond's charges, so the square roots and the gauge SVD run per charge
-    block; the block spectra are merged by a stable descending sort and cut
-    by the one truncation rule, P and Q are filled block by block, and the
-    inner re-split is the kernel's block split. The cell keeps its labels.
-    An unlabelled cell is one block.
-    Raises ValueError if ``max_iter`` < 1 and DegenerateTransferError if
-    power iteration stalls or a labelled cell's fixed point couples charge
-    sectors.
+    bond's charges, so x and y are factored per charge block, their columns
+    carry the block's charge, and the split runs per block; the inner
+    re-split is the kernel's block split. The cell keeps its labels. An
+    unlabelled cell is one block.
+    Raises DegenerateTransferError if power iteration stalls or a labelled
+    cell's fixed point couples charge sectors.
     """
     if not state.cell:
         raise ValueError("reorthogonalize applies to infinite states")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    chi = max(state.max_bond(), 1) if chi is None else chi
     ga, gb = state.tensors
     lam_ab, lam_ba = state.lambdas
     cell = np.tensordot(ga * lam_ab[None, None, :], gb, axes=(2, 0))
@@ -395,32 +407,24 @@ def reorthogonalize(state: kernels.Chain, chi=None, cutoff=1e-14, tol=1e-10,
 
     right_mats = np.ascontiguousarray(
         (cell * lam_ba[None, None, :]).transpose(1, 0, 2))   # (s, chi, chi)
-    v_r, eta_r = _transfer_fixed_point(right_mats, tol, max_iter)
+    v_r, _ = _transfer_fixed_point(right_mats, _TRANSFER_TOL, _TRANSFER_MAX_ITER)
     left_mats = np.ascontiguousarray(
         (cell * lam_ba[:, None, None]).transpose(1, 2, 0)).conj()
-    v_l, eta_l = _transfer_fixed_point(left_mats, tol, max_iter)
+    v_l, _ = _transfer_fixed_point(left_mats, _TRANSFER_TOL, _TRANSFER_MAX_ITER)
 
     q_ba = None if state.charges is None else state.charges[1]
     blocks = _charge_blocks(v_r, v_l, q_ba)
-    xs = _herm_sqrt([v_r[np.ix_(idx, idx)] for _, idx in blocks])  # v_r = x x^dag
-    ys = _herm_sqrt([v_l[np.ix_(idx, idx)] for _, idx in blocks])  # v_l = y^dag y
-    svds = [np.linalg.svd(y_f.conj().T @ (lam_ba[idx, None] * x_f))
-            for (_, idx), (x_f, _, _), (y_f, _, _) in zip(blocks, xs, ys)]
-    s, q = kernels._merge_spectra([b[1] for b in svds],
-                                  [g for g, _ in blocks])
-    keep = kernels._keep_count(s, chi, cutoff)
-    q_ba_new = q[:keep]
-    lam_ba_new = s[:keep] / float(np.linalg.norm(s[:keep]))
-    # gauge matrices: lambda_old = P lambda_new Q with P = y^+ u, Q = vh x^+;
-    # a block's kept values are its leading ones, in order
-    p_mat = np.zeros((chi_ba, keep), dtype=cell.dtype)
-    q_mat = np.zeros((keep, chi_ba), dtype=cell.dtype)
-    for (g, idx), (_, xu, xw), (_, yu, yw), (u, _, vh) in zip(blocks, xs, ys,
-                                                              svds):
-        pos = np.flatnonzero(q_ba_new == g)
-        p_mat[np.ix_(idx, pos)] = (yu * (1.0 / yw)[None, :]) @ u[:, :len(pos)]
-        q_mat[np.ix_(pos, idx)] = vh[:len(pos), :] @ ((1.0 / xw)[:, None]
-                                                      * xu.conj().T)
+    x, x_pinv, cols_x = _psd_factor(v_r, blocks)
+    y, y_pinv, cols_y = _psd_factor(v_l, blocks)
+    labels = None if q_ba is None else (q_ba[cols_y], np.zeros(1, np.int64),
+                                        q_ba[cols_x])
+    u, lam_ba_new, vh, _, _, q_ba_new = kernels._split_theta(
+        y.conj().T @ (lam_ba[:, None] * x), len(cols_y), 1, len(cols_x),
+        np.ones(len(cols_y)), np.ones(len(cols_x)), chi, cutoff, labels,
+        state.modulus)
+    keep = len(lam_ba_new)
+    p_mat = y_pinv.conj().T @ u.reshape(-1, keep)
+    q_mat = vh.reshape(keep, -1) @ x_pinv
     cell_new = (q_mat @ cell.reshape(chi_ba, -1)).reshape(-1, chi_ba) @ p_mat
 
     # re-split the fused cell at the inner bond
@@ -445,24 +449,26 @@ def reorthogonalize(state: kernels.Chain, chi=None, cutoff=1e-14, tol=1e-10,
     return state
 
 
-def _trace_transfer(state: kernels.Chain):
-    tvec = _trace_vector(state.basis)
-    ma, mb = _site_matrices(state, tvec)
-    return (ma * state.lambdas[0][None, :]) @ (mb * state.lambdas[1][None, :])
+def _trace_fixed_points(state: kernels.Chain):
+    """(eta, l, r) of the cell's trace transfer matrix, from one eig.
 
-
-def itebd_trace_eigenvalue(state: kernels.Chain):
-    """Leading eigenvalue of the cell's trace transfer matrix: Tr rho per cell."""
-    evals = np.linalg.eigvals(_trace_transfer(state))
-    eta = float(np.real(evals[np.argmax(np.abs(evals))]))
+    eta is the leading eigenvalue, Tr rho per cell; with tm = V diag(w) V^-1,
+    r is column k of V and l row k of V^-1, so l tm = eta l and l @ r = 1.
+    """
+    ma, mb = _site_matrices(state, _trace_vector(state.basis))
+    tm = (ma * state.lambdas[0][None, :]) @ (mb * state.lambdas[1][None, :])
+    evals, vecs = np.linalg.eig(tm)
+    k = int(np.argmax(np.abs(evals)))
+    eta = float(np.real(evals[k]))
     if eta <= 0.0:
         raise FloatingPointError(f"infinite-chain trace eigenvalue {eta}")
-    return eta
+    l = np.linalg.solve(vecs.T, np.eye(len(evals))[k])
+    return eta, l, vecs[:, k]
 
 
 def itebd_renormalize(state: kernels.Chain):
     """Rescale the cell so the per-cell trace transfer eigenvalue is one."""
-    eta = itebd_trace_eigenvalue(state)
+    eta, _, _ = _trace_fixed_points(state)
     state.tensors[0] = state.tensors[0] / np.sqrt(eta)
     state.tensors[1] = state.tensors[1] / np.sqrt(eta)
     return eta
@@ -470,18 +476,10 @@ def itebd_renormalize(state: kernels.Chain):
 
 def itebd_sz(state: kernels.Chain):
     """(<sz_A>, <sz_B>) of the infinite chain from the trace fixed points."""
-    tm = _trace_transfer(state)
-    evals, vr = np.linalg.eig(tm)
-    k = int(np.argmax(np.abs(evals)))
-    r = vr[:, k]
-    evals_l, vl = np.linalg.eig(tm.T)
-    kl = int(np.argmax(np.abs(evals_l)))
-    l = vl[:, kl]
-    norm = l @ (evals[k] * r)
-    tvec = _trace_vector(state.basis)
-    wvec = _op_vector(SZ, state.basis)
-    ma, mb = _site_matrices(state, tvec)
-    wa, wb = (np.tensordot(wvec, t, axes=(0, 1)) for t in state.tensors)
-    za = l @ ((wa * state.lambdas[0][None, :]) @ (mb * state.lambdas[1][None, :])) @ r
-    zb = l @ ((ma * state.lambdas[0][None, :]) @ (wb * state.lambdas[1][None, :])) @ r
-    return float(np.real(za / norm)), float(np.real(zb / norm))
+    eta, l, r = _trace_fixed_points(state)
+    ma, mb = _site_matrices(state, _trace_vector(state.basis))
+    wa, wb = _site_matrices(state, _op_vector(SZ, state.basis))
+    lam_ab, lam_ba = state.lambdas[0][None, :], state.lambdas[1][None, :]
+    za = l @ ((wa * lam_ab) @ (mb * lam_ba)) @ r
+    zb = l @ ((ma * lam_ab) @ (wb * lam_ba)) @ r
+    return float(np.real(za)) / eta, float(np.real(zb)) / eta

@@ -42,6 +42,8 @@ __all__ = [
 # charge of each physical index: the number of down spins (up = 0, down = 1)
 _SITE_CHARGE = np.array([0, 1], dtype=np.int64)
 
+_DENSE_MAX_SITES = 14   # to_dense refuses longer chains
+
 
 def product_mps(local_kets):
     """Bond-dimension-1 product state from a list of normalized 2-vectors."""
@@ -201,11 +203,11 @@ def check_canonical(state: kernels.Chain):
     return worst
 
 
-def to_dense(state: kernels.Chain, max_sites=14):
+def to_dense(state: kernels.Chain):
     """Dense state vector (sites fused left to right); small chains only."""
     n = state.n_sites
-    if n > max_sites:
-        raise ValueError(f"refusing to densify {n} > {max_sites} sites")
+    if n > _DENSE_MAX_SITES:
+        raise ValueError(f"refusing to densify {n} > {_DENSE_MAX_SITES} sites")
     vec = state.tensors[0]
     for k in range(1, n):
         lam = state.lambdas[k - 1]

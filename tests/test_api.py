@@ -4,6 +4,8 @@ and every name it imports is used or re-exported."""
 import ast
 import importlib
 import inspect
+import json
+from pathlib import Path
 
 import pytest
 
@@ -66,3 +68,27 @@ def test_traced_entry_points_are_module_functions(name):
         obj = getattr(mod, attr, None)
         assert inspect.isfunction(obj), attr
         assert obj.__module__ == mod.__name__ and obj.__qualname__ == attr
+
+
+# Per-layer metrics that perfbench/measure.py aggregates over several spans
+# (numpy's SVD, the observable readers) rather than reads from one function.
+AGGREGATES = {"kernels.svd", "mpdo.observe"}
+
+
+def test_benchmark_layer_metrics_name_traced_functions():
+    spec = json.loads(
+        (Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+    prefixes = {m["name"].rsplit(".", 1)[0] for m in spec["per_layer"]
+                if m["name"].count(".") == 2}
+    checked = 0
+    for prefix in sorted(prefixes - AGGREGATES):
+        name, attr = prefix.split(".")
+        if name not in TRACED:
+            continue
+        assert attr in TRACED[name], prefix
+        mod = importlib.import_module(f"openchain.{name}")
+        obj = getattr(mod, attr, None)
+        assert inspect.isfunction(obj), prefix
+        assert obj.__module__ == mod.__name__ and obj.__qualname__ == attr
+        checked += 1
+    assert checked > 0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from openchain import kernels, mpdo, runner
-from openchain.models import ModelParams, linearized_basis, pauli_basis
+from openchain.models import SZ, ModelParams, linearized_basis, pauli_basis
 
 PAULI = pauli_basis()
 
@@ -66,13 +66,63 @@ def test_identity_gates_leave_cell_invariant():
     assert zb2 == pytest.approx(zb, abs=1e-9)
 
 
-def check_reorthogonalization(basis):
-    """Evolve a gain/loss cell, reorthogonalize it; returns (<sz_A>, <sz_B>)."""
+def gain_loss_cell(basis, steps, dt=0.1, chi=32, cutoff=1e-12,
+                   renormalize=False):
+    """Gain/loss cell after ``steps`` steps and no reorthogonalize.
+
+    Returns the cell and the largest truncation weight of its steps.
+    """
     p = ModelParams(gamma_plus=0.4, gamma_minus=0.4)
     st = mpdo.neel_mpdo(None, basis)
-    gates = mpdo.build_trotter4_gates(p, basis, 0.1)
-    for _ in range(10):
-        mpdo.itebd_trotter4_step(st, gates, 32, 1e-12)
+    gates = mpdo.build_trotter4_gates(p, basis, dt)
+    max_tw = 0.0
+    for _ in range(steps):
+        max_tw = max(max_tw, mpdo.itebd_trotter4_step(st, gates, chi, cutoff))
+        if renormalize:
+            mpdo.itebd_renormalize(st)
+    return st, max_tw
+
+
+BASES = pytest.mark.parametrize("basis", [PAULI, linearized_basis()],
+                                ids=lambda b: b.flavor)
+
+
+@BASES
+def test_trace_reader_takes_left_and_right_eigenvectors(basis):
+    st, _ = gain_loss_cell(basis, 10)
+    lam_ab, lam_ba = st.lambdas
+    if basis.flavor != "pauli":
+        # a phase gauge of the (B,A) bond leaves the state as it is and makes
+        # the eigenvectors complex, so that a conjugated l shows
+        rng = np.random.default_rng(3)
+        phase = np.exp(2j * np.pi * rng.uniform(size=len(lam_ba)))
+        st.tensors[0] = phase.conj()[:, None, None] * st.tensors[0]
+        st.tensors[1] = st.tensors[1] * phase[None, None, :]
+
+    def site_mats(op):
+        w = np.array([np.trace(op @ e) for e in basis.elements])
+        return [np.tensordot(w, t, axes=(0, 1)) for t in st.tensors]
+
+    ta, tb = site_mats(np.eye(2))
+    wa, wb = site_mats(SZ)
+    tm = (ta * lam_ab) @ (tb * lam_ba)
+    # non-normal: left and right eigenvectors differ
+    assert np.max(np.abs(tm @ tm.conj().T - tm.conj().T @ tm)) > 1e-3
+    evals, vr = np.linalg.eig(tm)
+    r = vr[:, np.argmax(np.abs(evals))]
+    evals_l, vl = np.linalg.eig(tm.T)
+    l = vl[:, np.argmax(np.abs(evals_l))]
+    norm = l @ tm @ r
+    za = np.real(l @ (wa * lam_ab) @ (tb * lam_ba) @ r / norm)
+    zb = np.real(l @ (ta * lam_ab) @ (wb * lam_ba) @ r / norm)
+    assert np.max(np.abs(np.subtract(mpdo.itebd_sz(st), (za, zb)))) <= 1e-12
+    eta = np.real(evals[np.argmax(np.abs(evals))])
+    assert mpdo.itebd_renormalize(st) == pytest.approx(eta, rel=1e-12)
+
+
+def check_reorthogonalization(basis):
+    """Evolve a gain/loss cell, reorthogonalize it; returns (<sz_A>, <sz_B>)."""
+    st, _ = gain_loss_cell(basis, 10)
     za_before, zb_before = mpdo.itebd_sz(st)
     assert canonical_defect(st) > 1e-6  # non-unitary gates degrade the gauge
     mpdo.reorthogonalize(st, 32, 1e-12)
@@ -92,13 +142,6 @@ def test_reorthogonalization_in_linearized_basis_matches_pauli():
     za_p, zb_p = check_reorthogonalization(PAULI)
     assert za == pytest.approx(za_p, abs=1e-8)
     assert zb == pytest.approx(zb_p, abs=1e-8)
-
-
-def test_reorthogonalize_rejects_max_iter_below_one():
-    st = mpdo.neel_mpdo(None, PAULI)
-    for max_iter in (0, -1):
-        with pytest.raises(ValueError, match="max_iter"):
-            mpdo.reorthogonalize(st, 16, 1e-12, max_iter=max_iter)
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
@@ -215,3 +258,66 @@ def test_off_block_fixed_point_raises():
     with pytest.raises(mpdo.DegenerateTransferError,
                        match=r"Z2 charge sectors.*off-block entry \d"):
         mpdo.reorthogonalize(st, 64, 1e-10)
+
+
+def gauge_spectrum(st):
+    """Singular values of the cell's (B,A) gauge matrix, built densely.
+
+    With the transfer fixed points v_r = x x^dag and v_l = y y^dag, the
+    gauge matrix is y^dag lambda_BA x; its spectrum does not depend on
+    the choice of square roots.
+    """
+    ga, gb = st.tensors
+    lam_ab, lam_ba = st.lambdas
+    cell = np.tensordot(ga * lam_ab[None, None, :], gb, axes=(2, 0))
+    cell = cell.reshape(len(lam_ba), 16, len(lam_ba))
+    right = (cell * lam_ba[None, None, :]).transpose(1, 0, 2)
+    left = (cell * lam_ba[:, None, None]).transpose(1, 2, 0).conj()
+    roots = []
+    for mats in (right, left):
+        v, _ = mpdo._transfer_fixed_point(np.ascontiguousarray(mats),
+                                          mpdo._TRANSFER_TOL,
+                                          mpdo._TRANSFER_MAX_ITER)
+        w, u = np.linalg.eigh(0.5 * (v + v.conj().T))
+        roots.append(u * np.sqrt(np.clip(w, 0.0, None)))
+    x, y = roots
+    return np.linalg.svd(y.conj().T @ (lam_ba[:, None] * x), compute_uv=False)
+
+
+@BASES
+@pytest.mark.parametrize("labelled", [True, False], ids=["labelled", "plain"])
+def test_capped_gauge_cut_keeps_the_leading_gauge_values(basis, labelled):
+    st, gates = labelled_cell(basis, 2)
+    if not labelled:
+        st.charges = None
+    mpdo.itebd_trotter4_step(st, gates, 64, 1e-10)
+    chi = 16
+    s = gauge_spectrum(st)
+    assert len(st.lambdas[1]) > chi
+    assert s[chi - 1] > 2.0 * s[chi]          # a clear gap at the cut
+    mpdo.reorthogonalize(st, chi, 1e-10)
+    lam = st.lambdas[1]
+    assert len(lam) == chi
+    assert (st.charges is None) != labelled
+    if labelled:
+        assert len(st.charges[1]) == chi
+    assert abs(np.sum(lam ** 2) - 1.0) <= 1e-14
+    np.testing.assert_allclose(lam, s[:chi] / np.linalg.norm(s[:chi]),
+                               rtol=0.0, atol=1e-10)
+
+
+@BASES
+def test_per_step_renormalization_only_rescales(basis):
+    # chi 128 and cutoff 0 cut nothing but rounding noise: no cut can flip
+    cells = [gain_loss_cell(basis, 2, chi=128, cutoff=0.0, renormalize=r)
+             for r in (False, True)]
+    assert max(tw for _, tw in cells) <= 1e-14
+    for st, _ in cells:
+        mpdo.reorthogonalize(st, 128, 0.0)
+        mpdo.itebd_renormalize(st)
+    (plain, _), (renormalized, _) = cells
+    assert plain.bond_dims() == renormalized.bond_dims()
+    for a, b in zip(plain.lambdas, renormalized.lambdas):
+        assert np.max(np.abs(a - b)) <= 1e-12
+    assert np.max(np.abs(np.subtract(mpdo.itebd_sz(plain),
+                                     mpdo.itebd_sz(renormalized)))) <= 1e-12
