@@ -6,6 +6,21 @@ as one plain numpy kernel. Its split, ``_split_theta``, is the one truncated
 SVD of the package and ``_keep_count`` the one truncation rule, called only
 from that split: the bond updates, the infinite cell's gauge cut and inner
 re-split and the dense-to-MPDO decomposition all split with it.
+
+A bond update hands the split a guess, the old right tensor
+Gamma_r lambda_r, whose rows span theta's row space before the gate
+(Unfried, Hauschild & Pollmann, PRB 107, 155133 (2023)). A block whose guess
+has n_g rows with n_g + 8 <= min(block shape) // 2 is split from it: one QR
+of the block projected on the guess and widened by the block's 8 largest
+residual columns, and the SVD of a small matrix, in place of the block's
+full SVD. The part of the block outside that basis is added to the
+reported truncation weight, so the weight is the split's reconstruction
+error. When that residual exceeds the discarded tail plus the cutoff's
+share, the guess missed (a gate turned the row space away from it) and the
+update redoes the full block SVD. Smaller blocks, and the splits without a
+guess (the cell's gauge cut and inner re-split, the dense decomposition),
+always take the full SVD.
+
 ``perfbench/run.py`` measures end-to-end runs and, with ``--trace 1``, the
 time spent in each public function here; its per-update readings (bond
 dimension, call counts) come from ``bond_update`` and ``bond_update_nogate``,
@@ -35,7 +50,8 @@ finite chain has charge 0 and the right outer bond ``total_charge`` (0 for
 the MPDO). A symmetric state has Gamma_k[a, s, c] = 0 unless
 q_a + p_s = q_c (mod 2 for Z2), so every theta is block-diagonal: its rows
 group by q_l + p_s1 and its columns by q_r - p_s2, and the groups are the
-charges that occur on both sides. ``_split_theta`` SVDs each block, merges
+charges that occur on both sides. ``_split_theta`` SVDs each block (a large
+block from the rows of the old right tensor that carry its charge), merges
 the spectra by a stable descending sort, applies the one truncation rule
 (``_keep_count``) to the merged spectrum and returns the kept values' groups
 as the new bond's labels. An unlabelled chain is one group: the SVD runs on
@@ -143,8 +159,64 @@ def _sectors(labels, modulus):
     return groups, _group_indices(row_q, groups), _group_indices(col_q, groups)
 
 
+# A block's guess split adds this many vectors taken from the block itself to
+# the guess rows, and runs when the guess and they fill at most half of the
+# block's smaller side (``_takes_guess``).
+_WIDEN = 8
+
+
+def _takes_guess(n_guess, rows, cols):
+    """The size rule: a block with this many guess rows takes the guess split."""
+    return 0 < n_guess and n_guess + _WIDEN <= min(rows, cols) // 2
+
+
+def _guess_rows(gam_r, lam_r):
+    """gam_r . lam_r as a (rows, d*dr) matrix: the rows of a guess.
+
+    Formed only for a block that takes the guess split, so other updates
+    allocate nothing for it.
+    """
+    return (gam_r * lam_r.reshape(1, 1, -1)).reshape(len(gam_r), -1)
+
+
+def _gather(theta, rows, cols):
+    """The block of theta on these rows and columns; None: theta itself.
+
+    Blocks are gathered where they are SVD'd, so none outlives its SVD.
+    """
+    if rows is None:
+        return theta
+    return theta.take(rows, axis=0).take(cols, axis=1)
+
+
+def _block_svd(block, guess):
+    """(u, s, vh, residual weight) of one block, by full SVD or from ``guess``.
+
+    Without a guess this is np.linalg.svd and the residual weight is 0.
+    Otherwise ``guess`` holds rows that (nearly) span the block's row space.
+    Q R = qr(block guess^dag) and X = Q^dag block leave the residual
+    E = block - Q X. The ``_WIDEN`` columns of E of largest norm, QR'd into
+    Q_2, widen the basis to [Q, Q_2]: X gains the rows Q_2^dag E and E loses
+    its part along Q_2. The small X is SVD'd and U = [Q, Q_2] U_x; the
+    residual weight is ||E||^2, the part of the block outside the basis.
+    """
+    if guess is None:
+        u, s, vh = np.linalg.svd(block, full_matrices=False)
+        return u, s, vh, 0.0
+    q, _ = np.linalg.qr(block @ guess.conj().T)
+    x = q.conj().T @ block
+    e = block - q @ x
+    widest = np.argsort(-np.linalg.norm(e, axis=0), kind="stable")[:_WIDEN]
+    q2, _ = np.linalg.qr(e[:, widest])
+    x2 = q2.conj().T @ e
+    e = e - q2 @ x2
+    u, s, vh = np.linalg.svd(np.concatenate((x, x2)), full_matrices=False)
+    q = np.concatenate((q, q2), axis=1)
+    return q @ u, s, vh, float(np.vdot(e, e).real)
+
+
 def _split_theta(theta, dl, d, dr, lam_l, lam_r, chi_max, cutoff, labels=None,
-                 modulus=2):
+                 modulus=2, guess=None):
     """SVD re-split of a two-site theta, truncating and rebuilding the Gammas.
 
     theta is (dl*d, d*dr). Returns (gam_l, lam_new, gam_r, kept_norm,
@@ -158,26 +230,71 @@ def _split_theta(theta, dl, d, dr, lam_l, lam_r, chi_max, cutoff, labels=None,
     a stable descending sort, truncated as one, and q_new holds the group of
     every kept value. Without labels there is one group, theta itself, and
     q_new is None.
+
+    ``guess`` is None or (gam_r, lam_r, q_c): the old right tensor and
+    lambda, whose product Gamma_r lambda_r as a (dc, d*dr) matrix has rows
+    spanning theta's row space before the gate, and the charge of each row
+    (None: unlabelled). The rows are formed (``_guess_rows``) only for a
+    block that takes the guess: one whose guess, the rows carrying its
+    charge, has n_g rows with n_g + 8 <= min(block shape) // 2. Such a
+    block takes the guess split of
+    ``_block_svd``: one QR and the SVD of a small matrix in place of the
+    block's SVD. The reported truncation weight adds every block's residual
+    weight to the discarded tail, so it is the reconstruction error of the
+    split. If the summed residual weight exceeds tail^2 + (cutoff s_0)^2,
+    with s_0 the largest value, the guess missed part of theta (a gate
+    turned the row space away from it) and those blocks take the full SVD.
+    Smaller blocks and splits without a guess always take the full SVD.
     """
+    gam_g, lam_g, q_c = (None, None, None) if guess is None else guess
     if labels is None:
-        u, s, vh = np.linalg.svd(theta, full_matrices=False)
+        rows = cols = [None]
+        use = gam_g is not None and _takes_guess(len(gam_g), *theta.shape)
+        guesses = [_guess_rows(gam_g, lam_g) if use else None]
+        out = [_block_svd(theta, guesses[0])]
     else:
         groups, rows, cols = _sectors(labels, modulus)
-        blocks = [np.linalg.svd(theta.take(r, axis=0).take(c, axis=1),
-                                full_matrices=False) for r, c in zip(rows, cols)]
-        s, block_of = _merge_spectra([b[1] for b in blocks],
-                                     np.arange(len(blocks)))
-    keep = _keep_count(s, chi_max, cutoff)
-    # running sums add in order; np.sum adds pairwise and rounds differently
-    s2 = s * s
-    kept = np.sqrt(np.cumsum(s2[:keep])[-1])
-    w2 = np.cumsum(s2[keep:])[-1] if keep < len(s) else 0.0
+        guesses = [None] * len(groups)
+        use = False
+        if q_c is not None:
+            for i, (g, r, c) in enumerate(zip(groups, rows, cols)):
+                # too small for one guess row: count and slice nothing
+                if _takes_guess(1, len(r), len(c)):
+                    at = np.flatnonzero(q_c == g)
+                    if _takes_guess(len(at), len(r), len(c)):
+                        rows_g = _guess_rows(gam_g[at], lam_g)
+                        guesses[i] = rows_g.take(c, axis=1)
+                        use = True
+        out = [_block_svd(_gather(theta, r, c), g)
+               for r, c, g in zip(rows, cols, guesses)]
+    while True:
+        if labels is None:
+            s = out[0][1]
+        else:
+            s, block_of = _merge_spectra([o[1] for o in out],
+                                         np.arange(len(out)))
+        keep = _keep_count(s, chi_max, cutoff)
+        # running sums add in order; np.sum adds pairwise and rounds differently
+        s2 = s * s
+        kept = np.sqrt(np.cumsum(s2[:keep])[-1])
+        w2 = np.cumsum(s2[keep:])[-1] if keep < len(s) else 0.0
+        if not use:
+            break
+        res2 = sum(o[3] for o in out)
+        if res2 <= w2 + (cutoff * s[0]) ** 2:
+            w2 = w2 + res2
+            break
+        # the guess missed part of theta: its blocks take the full SVD
+        out = [o if g is None else _block_svd(_gather(theta, r, c), None)
+               for o, r, c, g in zip(out, rows, cols, guesses)]
+        use = False
     if kept > 0.0:
         lam_new = s[:keep] / kept
     else:
         lam_new = s[:keep].copy()
 
     if labels is None:
+        u, _, vh, _ = out[0]
         u_keep, vh_keep, q_new = u[:, :keep], vh[:keep, :], None
     else:
         # a block's kept values are its leading ones, in order
@@ -186,8 +303,8 @@ def _split_theta(theta, dl, d, dr, lam_l, lam_r, chi_max, cutoff, labels=None,
         u_keep = np.zeros((dl * d, keep), dtype=theta.dtype)
         vh_keep = np.zeros((keep, d * dr), dtype=theta.dtype)
         pos = np.argsort(block_of, kind="stable")   # kept positions by block
-        ends = np.cumsum(np.bincount(block_of, minlength=len(blocks))).tolist()
-        for r, c, (u, _, vh), k0, k1 in zip(rows, cols, blocks, [0] + ends, ends):
+        ends = np.cumsum(np.bincount(block_of, minlength=len(out))).tolist()
+        for r, c, (u, _, vh, _), k0, k1 in zip(rows, cols, out, [0] + ends, ends):
             if k1 == k0:
                 continue
             u_keep[r[:, None], pos[k0:k1]] = u[:, :k1 - k0]
@@ -218,8 +335,13 @@ def _assemble_theta(lam_l, gam_l, lam_c, gam_r, lam_r):
 
 
 def bond_update(lam_l, gam_l, lam_c, gam_r, lam_r, gate, chi_max, cutoff,
-                labels=None, modulus=2):
-    """Gated two-site update: returns (gam_l, lam, gam_r, kept, tw, q_new)."""
+                labels=None, modulus=2, q_c=None):
+    """Gated two-site update: returns (gam_l, lam, gam_r, kept, tw, q_new).
+
+    ``q_c`` holds the charges of the center bond on a labelled chain; the
+    split takes the old right tensor, by charge, as its guess (without
+    ``q_c`` a labelled split has no guess).
+    """
     dl, d, _ = gam_l.shape
     dr = gam_r.shape[2]
     theta = _assemble_theta(lam_l, gam_l, lam_c, gam_r, lam_r)
@@ -230,16 +352,16 @@ def bond_update(lam_l, gam_l, lam_c, gam_r, lam_r, gate, chi_max, cutoff,
     th = th.reshape(d, d, dl, dr)
     theta = np.ascontiguousarray(th.transpose(2, 0, 1, 3)).reshape(dl * d, d * dr)
     return _split_theta(theta, dl, d, dr, lam_l, lam_r, chi_max, cutoff, labels,
-                        modulus)
+                        modulus, (gam_r, lam_r, q_c))
 
 
 def bond_update_nogate(lam_l, gam_l, lam_c, gam_r, lam_r, chi_max, cutoff,
-                       labels=None, modulus=2):
+                       labels=None, modulus=2, q_c=None):
     """Gate-free two-site re-split (canonical-form restores); as bond_update."""
     dl, d, _ = gam_l.shape
     theta = _assemble_theta(lam_l, gam_l, lam_c, gam_r, lam_r)
     return _split_theta(theta, dl, d, gam_r.shape[2], lam_l, lam_r, chi_max,
-                        cutoff, labels, modulus)
+                        cutoff, labels, modulus, (gam_r, lam_r, q_c))
 
 
 @dataclass
@@ -340,19 +462,20 @@ def _update_bond(chain, gate, bond, chi_max, cutoff):
     """One bond update with a cast gate, or None; (log_norm, tw)."""
     tensors, lambdas = chain.tensors, chain.lambdas
     right, lam_l, lam_r = _boundary(lambdas, bond, len(tensors))
-    block_labels = None
+    block_labels = q_c = None
     if chain.charges is not None:
         edges = (_ZERO_CHARGE, np.full(1, chain.total_charge, dtype=np.int64))
         _, q_l, q_r = _boundary(chain.charges, bond, len(tensors), edges)
         block_labels = (q_l, chain.site_charge, q_r)
+        q_c = chain.charges[bond]
     if gate is None:
         gl, lam, gr, kept, tw, q = bond_update_nogate(
             lam_l, tensors[bond], lambdas[bond], tensors[right], lam_r,
-            chi_max, cutoff, block_labels, chain.modulus)
+            chi_max, cutoff, block_labels, chain.modulus, q_c)
     else:
         gl, lam, gr, kept, tw, q = bond_update(
             lam_l, tensors[bond], lambdas[bond], tensors[right], lam_r,
-            gate, chi_max, cutoff, block_labels, chain.modulus)
+            gate, chi_max, cutoff, block_labels, chain.modulus, q_c)
     tensors[bond] = gl
     tensors[right] = gr
     lambdas[bond] = lam

@@ -9,7 +9,8 @@ step. All gate application goes through the shared bond kernel; this module
 holds the physics: initial states, observables, the Trotter schedule and the
 infinite cell's gauge. A finite chain's Tr rho and <sigma^z> are ``trace`` and
 ``all_sz``; the cell's are read from one eigendecomposition of its trace
-transfer matrix (``itebd_renormalize``, ``itebd_sz``). The operator
+transfer matrix (``itebd_fixed_points``, read by ``itebd_renormalize`` and
+``itebd_sz``). The operator
 entanglement of every bond, finite chain or cell, is ``kernels.entropies``.
 
 Finite chains use gate sweeps over all bonds; the translation-invariant
@@ -53,7 +54,8 @@ __all__ = [
     "product_mpdo", "neel_mpdo", "mpdo_from_dense",
     "canonicalize", "trace", "all_sz", "renormalize_trace",
     "TROTTER4_SEQUENCE", "TROTTER4_LAYERS", "build_trotter4_gates", "trotter4_step",
-    "itebd_trotter4_step", "reorthogonalize", "itebd_sz", "itebd_renormalize",
+    "itebd_trotter4_step", "reorthogonalize", "itebd_fixed_points", "itebd_sz",
+    "itebd_renormalize",
 ]
 
 
@@ -449,11 +451,13 @@ def reorthogonalize(state: kernels.Chain, chi, cutoff):
     return state
 
 
-def _trace_fixed_points(state: kernels.Chain):
+def itebd_fixed_points(state: kernels.Chain):
     """(eta, l, r) of the cell's trace transfer matrix, from one eig.
 
     eta is the leading eigenvalue, Tr rho per cell; with tm = V diag(w) V^-1,
     r is column k of V and l row k of V^-1, so l tm = eta l and l @ r = 1.
+    ``itebd_renormalize`` and ``itebd_sz`` read them; a caller that needs
+    both passes one result to each.
     """
     ma, mb = _site_matrices(state, _trace_vector(state.basis))
     tm = (ma * state.lambdas[0][None, :]) @ (mb * state.lambdas[1][None, :])
@@ -466,17 +470,25 @@ def _trace_fixed_points(state: kernels.Chain):
     return eta, l, vecs[:, k]
 
 
-def itebd_renormalize(state: kernels.Chain):
-    """Rescale the cell so the per-cell trace transfer eigenvalue is one."""
-    eta, _, _ = _trace_fixed_points(state)
+def itebd_renormalize(state: kernels.Chain, fixed_points=None):
+    """Rescale the cell so the per-cell trace transfer eigenvalue is one.
+
+    Returns that eigenvalue before the rescale; ``fixed_points`` is the
+    cell's ``itebd_fixed_points``, computed here if None.
+    """
+    eta, _, _ = fixed_points or itebd_fixed_points(state)
     state.tensors[0] = state.tensors[0] / np.sqrt(eta)
     state.tensors[1] = state.tensors[1] / np.sqrt(eta)
     return eta
 
 
-def itebd_sz(state: kernels.Chain):
-    """(<sz_A>, <sz_B>) of the infinite chain from the trace fixed points."""
-    eta, l, r = _trace_fixed_points(state)
+def itebd_sz(state: kernels.Chain, fixed_points=None):
+    """(<sz_A>, <sz_B>) of the infinite chain from the trace fixed points.
+
+    ``fixed_points`` is the cell's ``itebd_fixed_points``, computed here if
+    None; the reading does not depend on the cell's scale.
+    """
+    eta, l, r = fixed_points or itebd_fixed_points(state)
     ma, mb = _site_matrices(state, _trace_vector(state.basis))
     wa, wb = _site_matrices(state, _op_vector(SZ, state.basis))
     lam_ab, lam_ba = state.lambdas[0][None, :], state.lambdas[1][None, :]

@@ -230,8 +230,9 @@ def _run_itebd(cfg: RunConfig, outdir):
 
     def refresh_and_record(t):
         mpdo.reorthogonalize(state, cfg.chi, cfg.cutoff)
-        eta = mpdo.itebd_renormalize(state)
-        za, zb = mpdo.itebd_sz(state)
+        fixed = mpdo.itebd_fixed_points(state)   # one eig serves both
+        za, zb = mpdo.itebd_sz(state, fixed)
+        eta = mpdo.itebd_renormalize(state, fixed)
         s_ab, s_ba = kernels.entropies(state)
         rows.append([t, s_ab, 0.5 * (s_ab + s_ba), za, zb, eta])
 

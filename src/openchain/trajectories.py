@@ -179,20 +179,26 @@ def apply_jump(state, jump, chi, cutoff):
 _WINDOW_WIDTH = 11   # bonds whose entropies S_bond_avg averages
 
 
+def _window(n_sites):
+    """The bonds of ``bond_window``, read without a warning."""
+    center = (n_sites - 2) // 2
+    if n_sites - 1 < _WINDOW_WIDTH:
+        return [center]
+    start = center - _WINDOW_WIDTH // 2
+    return list(range(start, start + _WINDOW_WIDTH))
+
+
 def bond_window(n_sites):
     """Tracked bonds: _WINDOW_WIDTH bonds centered on the middle of the chain.
 
     Falls back to the single center bond (with a warning) when the chain is
-    too short.
+    too short. A run warns once: the runner's engines and ``run_ensemble``
+    call this, while each trajectory reads the same bonds quietly.
     """
-    n_bonds = n_sites - 1
-    center = (n_sites - 2) // 2
-    if n_bonds < _WINDOW_WIDTH:
+    if n_sites - 1 < _WINDOW_WIDTH:
         log.warning("chain with %d bonds is too short for %d-bond averaging; "
-                    "using the center bond only", n_bonds, _WINDOW_WIDTH)
-        return [center]
-    start = center - _WINDOW_WIDTH // 2
-    return list(range(start, start + _WINDOW_WIDTH))
+                    "using the center bond only", n_sites - 1, _WINDOW_WIDTH)
+    return _window(n_sites)
 
 
 @dataclass
@@ -284,7 +290,7 @@ def _run_exact_jump_times(cfg: TrajectoryConfig, traj_index):
     gate_fn = xxz_propagator(p)
     gamma = identity_rate(p)
     cap = cfg.step_cap()
-    rec = _Recorder(cfg, bond_window(n))
+    rec = _Recorder(cfg, _window(n))
     jump_log = []
     max_tw = max_restore_tw = 0.0
 
@@ -392,7 +398,7 @@ def _run_conditional(cfg: TrajectoryConfig, traj_index):
     jumps = build_jump_ops(p)
     h, n_steps, rec_every = _conditional_grid(cfg)
     schedule = _conditional_schedule(p, h)
-    rec = _Recorder(cfg, bond_window(n))
+    rec = _Recorder(cfg, _window(n))
     jump_log = []
     max_tw = max_restore_tw = 0.0
 
@@ -474,8 +480,10 @@ def run_ensemble(cfg: TrajectoryConfig, n_traj, workers=1):
     """Trajectories 0..n_traj-1, optionally in parallel; order is fixed.
 
     Results are independent of ``workers`` because every trajectory owns a
-    substream derived from (seed, index).
+    substream derived from (seed, index). A chain too short for the bond
+    window is reported once, here, not once per trajectory.
     """
+    bond_window(cfg.params.n_sites)
     if workers <= 1:
         return [run_trajectory(cfg, k) for k in range(n_traj)]
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -175,6 +175,45 @@ def test_itebd_step_trace_drift_is_small(tmp_path, basis):
     assert 0.0 <= drift <= 1e-7
 
 
+def test_each_record_refresh_makes_one_eig(tmp_path, monkeypatch):
+    eig, calls = np.linalg.eig, []
+    monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(1) or eig(a))
+    # 4 steps, records at steps 0, 2 and 4, reorthogonalized alone at 1 and 3
+    cfg = runner.config_from_dict({
+        "engine": "itebd", "n_sites": "infinite", "gamma_z": 1.0, "dt": 0.25,
+        "dt_obs": 0.5, "t_max": 1.0, "reorth_every": 1, "chi": 16,
+        "output_dir": str(tmp_path)})
+    runner.run(cfg)
+    # one per step's renormalization, per record and per lone reorthogonalize
+    assert len(calls) == 4 + 3 + 2
+
+
+@BASES
+def test_one_fixed_point_reading_serves_both_readers(basis):
+    st, _ = gain_loss_cell(basis, 10)
+    fixed = mpdo.itebd_fixed_points(st)
+    sz = mpdo.itebd_sz(st, fixed)
+    assert np.array_equal(sz, mpdo.itebd_sz(st))
+    assert mpdo.itebd_renormalize(st, fixed) == fixed[0]
+    assert np.max(np.abs(np.subtract(mpdo.itebd_sz(st), sz))) <= 1e-12
+    assert mpdo.itebd_fixed_points(st)[0] == pytest.approx(1.0, rel=1e-12)
+
+
+def test_runtime_install_itebd_config_takes_the_guess_split(tmp_path,
+                                                           monkeypatch):
+    """The itebd config that CI runs on the numpy-only install reaches the
+    guess split's np.linalg.qr (keep it equal to the workflow's)."""
+    qr, calls = np.linalg.qr, []
+    monkeypatch.setattr(np.linalg, "qr",
+                        lambda *a, **k: calls.append(1) or qr(*a, **k))
+    cfg = runner.config_from_dict({
+        "engine": "itebd", "n_sites": "infinite", "gamma_z": 1.0, "dt": 0.25,
+        "dt_obs": 0.25, "t_max": 0.5, "reorth_every": 1,
+        "output_dir": str(tmp_path)})
+    runner.run(cfg)
+    assert calls
+
+
 def test_staggered_magnetization_matches_finite_bulk():
     p_inf = ModelParams(gamma_z=1.0)
     st_inf = run_itebd(p_inf, 0.25, 3.0, chi=64)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from openchain import kernels, mpdo, mps
-from openchain.models import ModelParams, build_xxz_gate, pauli_basis
+from openchain.models import ModelParams, build_xxz_gate, expm, pauli_basis
 
 
 def random_vidal_bond(rng, chi, d, dtype):
@@ -178,3 +178,140 @@ def test_split_sums_and_inverses_match_the_scalar_loops():
                 if lam[a] > kernels.LAMBDA_FLOOR:
                     inv[a] = 1.0 / lam[a]
             assert np.array_equal(kernels._floored_inverse(lam), inv)
+
+
+# -- the guess split: large blocks seeded by the old right tensor ------------
+
+PARITY = np.array([0, 0, 1, 1])   # Z2 charges of a d = 4 physical index
+
+
+def z2_bond(rng, chi, dtype, labelled=True):
+    """Random d = 4 Vidal bond, Z2-symmetric when labelled, with decaying
+    lambdas: (lam_l, gam_l, lam_c, gam_r, lam_r, q_l, q_c, q_r)."""
+    lam_l, gl, lam_c, gr, lam_r = random_vidal_bond(rng, chi, 4, dtype)
+    lam_c = np.exp(-np.arange(chi) / 3.0)
+    lam_c /= np.linalg.norm(lam_c)
+    q = [np.arange(chi) % 2 for _ in range(3)]
+    if labelled:
+        gl = gl * ((q[0][:, None, None] + PARITY[None, :, None]) % 2
+                   == q[1][None, None, :])
+        gr = gr * ((q[1][:, None, None] + PARITY[None, :, None]) % 2
+                   == q[2][None, None, :])
+    return lam_l, gl, lam_c, gr, lam_r, *q
+
+
+def pair_gate(rng, dtype, scale, labelled=True):
+    """exp(-i scale H) for a random 16 x 16 H; block-diagonal in the pair
+    parity when labelled. Real dtype: the orthogonal exp(scale A), A = -A^T."""
+    h = rng.standard_normal((16, 16))
+    if dtype == np.complex128:
+        h = h + 1j * rng.standard_normal((16, 16))
+        gen = -1j * (h + h.conj().T)
+    else:
+        gen = h - h.T
+    if labelled:
+        pair = (PARITY[:, None] + PARITY[None, :]).ravel() % 2
+        gen = gen * (pair[:, None] == pair[None, :])
+    return expm(scale * gen).astype(dtype)
+
+
+def counting(monkeypatch, name):
+    """Count the calls of np.linalg.<name> from here on."""
+    calls, f = [], getattr(np.linalg, name)
+    monkeypatch.setattr(np.linalg, name,
+                        lambda *a, **k: calls.append(a[0].shape) or f(*a, **k))
+    return calls
+
+
+def split_weights(bond, gate, chi_max, cutoff, labelled):
+    """(theta, guess split, full split, reconstruction error of the guess split)."""
+    lam_l, gl, lam_c, gr, lam_r, q_l, q_c, q_r = bond
+    labels = (q_l, PARITY, q_r) if labelled else None
+    qc = q_c if labelled else None
+    out = kernels.bond_update(lam_l, gl, lam_c, gr, lam_r, gate, chi_max,
+                              cutoff, labels, 2, qc)
+    dl, d, dr = gl.shape[0], 4, gr.shape[2]
+    theta = kernels._assemble_theta(lam_l, gl, lam_c, gr, lam_r)
+    th = theta.reshape(dl, d, d, dr).transpose(1, 2, 0, 3).reshape(16, -1)
+    theta = (gate @ th).reshape(d, d, dl, dr).transpose(2, 0, 1, 3).reshape(
+        dl * d, d * dr)
+    full = kernels._split_theta(theta, dl, d, dr, lam_l, lam_r, chi_max,
+                                cutoff, labels, 2)
+    rebuilt = out[3] * kernels._assemble_theta(lam_l, out[0], out[1], out[2],
+                                               lam_r)
+    return theta, out, full, np.linalg.norm(theta - rebuilt)
+
+
+GUESS_CASES = pytest.mark.parametrize(
+    "dtype,labelled", [(np.float64, True), (np.complex128, True),
+                       (np.float64, False), (np.complex128, False)],
+    ids=["z2-real", "z2-complex", "plain-real", "plain-complex"])
+
+
+@GUESS_CASES
+@pytest.mark.parametrize("scale", [0.0, 0.02, 0.05])
+def test_guess_split_reports_its_reconstruction_error(monkeypatch, dtype,
+                                                      labelled, scale):
+    rng = np.random.default_rng(31)
+    bond = z2_bond(rng, 32, dtype, labelled)
+    gate = pair_gate(rng, dtype, scale, labelled)
+    qr, svd = counting(monkeypatch, "qr"), counting(monkeypatch, "svd")
+    theta, out, full, err = split_weights(bond, gate, 24, 1e-12, labelled)
+    # every block took the guess split (two QRs, one small SVD) and none
+    # fell back; the reference split makes one full SVD per block
+    n_blocks = 2 if labelled else 1
+    assert len(qr) == 2 * n_blocks
+    assert len(svd) == 2 * n_blocks and max(svd) == (32 * 4 // n_blocks,) * 2
+    assert len(out[1]) == len(full[1]) == 24
+    tw, tw_exact = out[4], full[4]
+    assert tw_exact > 1e-6
+    assert abs(err - tw) <= 1e-12 * tw
+    # the exact tail is the least error of any split (equal, up to rounding,
+    # when the guess is exact)
+    assert tw >= tw_exact * (1.0 - 1e-13)
+
+
+@GUESS_CASES
+def test_turned_row_space_falls_back_to_the_full_svd(monkeypatch, dtype,
+                                                     labelled):
+    rng = np.random.default_rng(32)
+    bond = z2_bond(rng, 32, dtype, labelled)
+    # a random unitary gate turns theta's row space away from the guess
+    gate = pair_gate(rng, dtype, 3.0, labelled)
+    qr, svd = counting(monkeypatch, "qr"), counting(monkeypatch, "svd")
+    # no cap: the guess split would drop no value, so its residual decides
+    theta, out, full, err = split_weights(bond, gate, 128, 1e-12, labelled)
+    n_blocks = 2 if labelled else 1
+    assert len(qr) == 2 * n_blocks   # each block tried the guess split ...
+    # ... and took the full SVD after it: its small SVD, the full one, and
+    # the reference split's
+    assert [s for s in svd if s == max(svd)] == [max(svd)] * 2 * n_blocks
+    for a, b in zip(out, full):
+        if a is not None:
+            assert np.max(np.abs(a - b)) <= 1e-12
+    assert out[4] == 0.0 and err <= 1e-12 * np.linalg.norm(theta)
+
+
+def test_small_u1_blocks_call_no_qr(monkeypatch):
+    """Blocks the size of a 32-site trajectory's (mean 9.7) keep the full SVD."""
+    rng = np.random.default_rng(33)
+    qr = counting(monkeypatch, "qr")
+    q_l = rng.integers(10, 14, size=24)
+    q_c = rng.integers(10, 15, size=24)
+    q_r = rng.integers(11, 15, size=24)
+    dl, dr = len(q_l), len(q_r)
+    row_q = (q_l[:, None] + [0, 1]).ravel()
+    col_q = (q_r[None, :] - [[0], [1]]).ravel()
+    theta = rng.standard_normal((2 * dl, 2 * dr))
+    theta = theta * (row_q[:, None] == col_q[None, :])
+    gam_r = rng.standard_normal((len(q_c), 2, dr))
+    groups, rows, cols = kernels._sectors((q_l, np.array([0, 1]), q_r), None)
+    assert max(min(len(r), len(c)) for r, c in zip(rows, cols)) < 2 * 9
+    out = kernels._split_theta(theta, dl, 2, dr, np.ones(dl), np.ones(dr), 16,
+                               1e-10, (q_l, np.array([0, 1]), q_r), None,
+                               (gam_r, np.ones(dr), q_c))
+    ref = kernels._split_theta(theta, dl, 2, dr, np.ones(dl), np.ones(dr), 16,
+                               1e-10, (q_l, np.array([0, 1]), q_r), None)
+    assert qr == []
+    for a, b in zip(out, ref):
+        assert np.array_equal(a, b)

@@ -447,6 +447,14 @@ def test_bond_window_and_averaging(caplog):
     assert tr.s_bond_avg[0] == pytest.approx(0.0)
 
 
+def test_short_chain_ensemble_warns_once(caplog):
+    cfg = config(params=ModelParams(n_sites=6, gamma_z=0.5), t_max=0.25,
+                 dt_obs=0.25, chi=8)
+    with caplog.at_level(logging.WARNING):
+        tj.run_ensemble(cfg, 3, workers=1)
+    assert sum("too short" in r.message for r in caplog.records) == 1
+
+
 def test_run_ensemble_parallel_matches_serial():
     p = ModelParams(n_sites=4, gamma_plus=0.5, gamma_minus=0.5)
     cfg = config(params=p, t_max=1.0, seed=77)
