@@ -4,10 +4,21 @@ The two-site bond update (theta assembly, gate contraction, SVD re-split,
 guarded lambda division) dominates runtime for every engine, so it lives here
 as one plain numpy kernel. Its split, ``_split_theta``, is the one truncated
 SVD of the package and ``_keep_count`` the one truncation rule, called only
-from that split: the bond updates, the infinite cell's gauge cut and inner
-re-split and the dense-to-MPDO decomposition all split with it.
+from that split: the gated bond updates, the one-site restores, the infinite
+cell's gauge cut and inner re-split and the dense-to-MPDO decomposition all
+split with it. The split returns U and V^dag; each caller divides out the
+boundary lambdas it needs with the one floor guard, ``_floored_inverse``.
 
-A bond update hands the split a guess, the old right tensor
+A restore (``bond_update_nogate``) only moves the orthogonality centre, so
+it splits one site's tensor, a (dl*d, dc) or (dc, d*dr) matrix, and pushes
+the remainder into the neighbouring site (Schollwoeck, Ann. Phys. 326, 96
+(2011)): at bond dimension chi it SVDs a (d chi, chi) matrix where a
+two-site theta is (d chi, d chi), and assembles no theta. The split site's
+physical index joins its outer bond, so the split runs with a physical leg
+of dimension 1, as the cell's gauge cut does, and a labelled chain's blocks
+follow from the same charge rule.
+
+A gated bond update hands the split a guess, the old right tensor
 Gamma_r lambda_r, whose rows span theta's row space before the gate
 (Unfried, Hauschild & Pollmann, PRB 107, 155133 (2023)). A block whose guess
 has n_g rows with n_g + 8 <= min(block shape) // 2 is split from it: one QR
@@ -18,15 +29,15 @@ reported truncation weight, so the weight is the split's reconstruction
 error. When that residual exceeds the discarded tail plus the cutoff's
 share, the guess missed (a gate turned the row space away from it) and the
 update redoes the full block SVD. Smaller blocks, and the splits without a
-guess (the cell's gauge cut and inner re-split, the dense decomposition),
-always take the full SVD.
+guess (the restores, the cell's gauge cut and inner re-split, the dense
+decomposition), always take the full SVD.
 
 ``perfbench/run.py`` measures end-to-end runs and, with ``--trace 1``, the
 time spent in each public function here; its per-update readings (bond
-dimension, call counts) come from ``bond_update`` and ``bond_update_nogate``,
-which return the new lambda at index 1 and the new bond's charge labels
-last. Callers reach both through the module globals, which the tracer
-rebinds.
+dimension, call counts) come from ``bond_update`` and ``bond_update_nogate``
+(one call per gated update or restore), which return the new lambda at index
+1 and the new bond's charge labels last. Callers reach both through the
+module globals, which the tracer rebinds.
 
 The chain (``Chain``): Gamma tensors and per-bond Schmidt vectors in Vidal
 form, the same type for the pure state (physical dimension 2) and the
@@ -51,24 +62,25 @@ the MPDO). A symmetric state has Gamma_k[a, s, c] = 0 unless
 q_a + p_s = q_c (mod 2 for Z2), so every theta is block-diagonal: its rows
 group by q_l + p_s1 and its columns by q_r - p_s2, and the groups are the
 charges that occur on both sides. ``_split_theta`` SVDs each block (a large
-block from the rows of the old right tensor that carry its charge), merges
-the spectra by a stable descending sort, applies the one truncation rule
-(``_keep_count``) to the merged spectrum and returns the kept values' groups
-as the new bond's labels. An unlabelled chain is one group: the SVD runs on
-theta itself and the arithmetic is that of a plain dense split.
+gated block from the rows of the old right tensor that carry its charge),
+merges the spectra by a stable descending sort, applies the one truncation
+rule (``_keep_count``) to the merged spectrum and returns the kept values'
+groups as the new bond's labels. An unlabelled chain is one group: the SVD
+runs on theta itself and the arithmetic is that of a plain dense split.
 
 Sweep conventions (shared by the pure-state and density-operator engines):
 bond ``b`` joins sites ``b`` and ``b + 1``. One executor, ``apply_schedule``,
 runs every bond update: it takes a schedule, a list of ``(bond, gate)``
-pairs applied in order (gate None: a gate-free restore), and prepares each
-distinct gate once before the first update (sector check on a labelled
-chain, cast to the chain's dtype). ``layer_schedule`` builds the schedule
-of ``(parity, per-bond gate table)`` layers: each layer applies ``table[b]``
-at every bond ``b`` of that parity, left to right. Bonds of one parity share
-no site, so the order within a layer does not change the arithmetic. A
-normal sweep is the layer of parity 0 then the layer of parity 1; a
-transposed sweep is the reverse (``SWEEP_PARITIES``), so it is the exact
-reverse-ordered product of the normal one. Every time step is built from
+pairs applied in order (gate "right" or "left": a gate-free restore that
+pushes that way), and prepares each distinct gate once before the first
+update (sector check on a labelled chain, cast to the chain's dtype).
+``layer_schedule`` builds the schedule of ``(parity, per-bond gate table)``
+layers: each layer applies ``table[b]`` at every bond ``b`` of that parity,
+left to right. Bonds of one parity share no site, so the order within a
+layer does not change the arithmetic. A normal sweep is the layer of parity
+0 then the layer of parity 1; a transposed sweep is the reverse
+(``SWEEP_PARITIES``), so it is the exact reverse-ordered product of the
+normal one. Every time step is built from
 one layer-fusion rule, ``fuse_sweeps``: it lays a sequence of
 ``(fraction, transposed)`` sweeps out as ``(parity, fraction)`` layers and
 merges adjacent layers of one parity by adding their fractions. The MPDO's
@@ -215,13 +227,15 @@ def _block_svd(block, guess):
     return q @ u, s, vh, float(np.vdot(e, e).real)
 
 
-def _split_theta(theta, dl, d, dr, lam_l, lam_r, chi_max, cutoff, labels=None,
-                 modulus=2, guess=None):
-    """SVD re-split of a two-site theta, truncating and rebuilding the Gammas.
+def _split_theta(theta, dl, d, dr, chi_max, cutoff, labels=None, modulus=2,
+                 guess=None):
+    """Truncated SVD split of a two-site theta: U S V^dag, by blocks.
 
-    theta is (dl*d, d*dr). Returns (gam_l, lam_new, gam_r, kept_norm,
-    trunc_weight, q_new); the new lambda is normalized and the boundary
-    lambdas are divided out of the returned Gammas with a floor guard.
+    theta is (dl*d, d*dr). Returns (u, lam_new, vh, kept_norm, trunc_weight,
+    q_new): u (dl, d, keep) and vh (keep, d, dr) hold the kept singular
+    vectors and lam_new the kept values over their norm, kept_norm. Callers
+    divide the boundary lambdas out of u and vh (``_floored_inverse``) where
+    they need Gammas.
 
     ``labels`` is None or (q_l, site charge, q_r): the charges of the outer
     bonds and of the physical index, in the group of ``modulus`` (2 for Z2,
@@ -310,11 +324,9 @@ def _split_theta(theta, dl, d, dr, lam_l, lam_r, chi_max, cutoff, labels=None,
             u_keep[r[:, None], pos[k0:k1]] = u[:, :k1 - k0]
             vh_keep[pos[k0:k1, None], c] = vh[:k1 - k0, :]
 
-    gam_l = np.ascontiguousarray(u_keep).reshape(dl, d, keep)
-    gam_l = gam_l * _floored_inverse(lam_l).reshape(dl, 1, 1)
-    gam_r = np.ascontiguousarray(vh_keep).reshape(keep, d, dr)
-    gam_r = gam_r * _floored_inverse(lam_r).reshape(1, 1, dr)
-    return gam_l, lam_new, gam_r, kept, np.sqrt(w2), q_new
+    return (np.ascontiguousarray(u_keep).reshape(dl, d, keep), lam_new,
+            np.ascontiguousarray(vh_keep).reshape(keep, d, dr), kept,
+            np.sqrt(w2), q_new)
 
 
 def _floored_inverse(lam):
@@ -351,17 +363,60 @@ def bond_update(lam_l, gam_l, lam_c, gam_r, lam_r, gate, chi_max, cutoff,
     th = gate @ th
     th = th.reshape(d, d, dl, dr)
     theta = np.ascontiguousarray(th.transpose(2, 0, 1, 3)).reshape(dl * d, d * dr)
-    return _split_theta(theta, dl, d, dr, lam_l, lam_r, chi_max, cutoff, labels,
-                        modulus, (gam_r, lam_r, q_c))
+    u, lam, vh, kept, tw, q_new = _split_theta(theta, dl, d, dr, chi_max,
+                                               cutoff, labels, modulus,
+                                               (gam_r, lam_r, q_c))
+    return (u * _floored_inverse(lam_l).reshape(dl, 1, 1), lam,
+            vh * _floored_inverse(lam_r).reshape(1, 1, dr), kept, tw, q_new)
 
 
-def bond_update_nogate(lam_l, gam_l, lam_c, gam_r, lam_r, chi_max, cutoff,
-                       labels=None, modulus=2, q_c=None):
-    """Gate-free two-site re-split (canonical-form restores); as bond_update."""
-    dl, d, _ = gam_l.shape
-    theta = _assemble_theta(lam_l, gam_l, lam_c, gam_r, lam_r)
-    return _split_theta(theta, dl, d, gam_r.shape[2], lam_l, lam_r, chi_max,
-                        cutoff, labels, modulus, (gam_r, lam_r, q_c))
+def bond_update_nogate(lam_l, gam_l, lam_c, gam_r, lam_r, push, chi_max,
+                       cutoff, labels=None, modulus=2, q_c=None):
+    """Gate-free restore of a bond by a one-site split; as bond_update.
+
+    ``push`` is "right" or "left". Right: lam_l Gamma_l lam_c, a
+    (dl*d, dc) matrix, splits as U S V^dag; Gamma_l <- U / lam_l and
+    Gamma_r <- V^dag Gamma_r. Left: lam_c Gamma_r lam_r, a (dc, d*dr)
+    matrix, splits as U S V^dag; Gamma_r <- V^dag / lam_r and
+    Gamma_l <- Gamma_l U. Either way lam <- S / ||S||, the two-site theta
+    is unchanged up to the truncation, and the split is ``_split_theta``
+    with a physical leg of dimension 1: the split site's physical index
+    joins its outer bond, and so do the charges of ``labels``
+    (q_l, site charge, q_r), against ``q_c`` on the center bond.
+    """
+    dl, d, dc = gam_l.shape
+    dr = gam_r.shape[2]
+    if push == "right":
+        m = gam_l * lam_l.reshape(dl, 1, 1)
+        m = (m * lam_c.reshape(1, 1, dc)).reshape(dl * d, dc)
+        if labels is not None:
+            q_l, site_q, _ = labels
+            labels = ((q_l[:, None] + site_q[None, :]).ravel(), _ZERO_CHARGE,
+                      q_c)
+        u, lam, vh, kept, tw, q_new = _split_theta(
+            m, dl * d, 1, dc, chi_max, cutoff, labels, modulus)
+        keep = len(lam)
+        gam_l = u.reshape(dl, d, keep) * _floored_inverse(lam_l).reshape(
+            dl, 1, 1)
+        gam_r = (vh.reshape(keep, dc) @ gam_r.reshape(dc, d * dr)).reshape(
+            keep, d, dr)
+    elif push == "left":
+        m = gam_r * lam_c.reshape(dc, 1, 1)
+        m = (m * lam_r.reshape(1, 1, dr)).reshape(dc, d * dr)
+        if labels is not None:
+            _, site_q, q_r = labels
+            labels = (q_c, _ZERO_CHARGE,
+                      (q_r[None, :] - site_q[:, None]).ravel())
+        u, lam, vh, kept, tw, q_new = _split_theta(
+            m, dc, 1, d * dr, chi_max, cutoff, labels, modulus)
+        keep = len(lam)
+        gam_r = vh.reshape(keep, d, dr) * _floored_inverse(lam_r).reshape(
+            1, 1, dr)
+        gam_l = (gam_l.reshape(dl * d, dc) @ u.reshape(dc, keep)).reshape(
+            dl, d, keep)
+    else:
+        raise ValueError(f"restore pushes 'right' or 'left', not {push!r}")
+    return gam_l, lam, gam_r, kept, tw, q_new
 
 
 @dataclass
@@ -459,7 +514,7 @@ def _check_gate_sectors(gate, chain, bond):
 
 
 def _update_bond(chain, gate, bond, chi_max, cutoff):
-    """One bond update with a cast gate, or None; (log_norm, tw)."""
+    """One bond update with a cast gate or a restore's push; (log_norm, tw)."""
     tensors, lambdas = chain.tensors, chain.lambdas
     right, lam_l, lam_r = _boundary(lambdas, bond, len(tensors))
     block_labels = q_c = None
@@ -468,10 +523,10 @@ def _update_bond(chain, gate, bond, chi_max, cutoff):
         _, q_l, q_r = _boundary(chain.charges, bond, len(tensors), edges)
         block_labels = (q_l, chain.site_charge, q_r)
         q_c = chain.charges[bond]
-    if gate is None:
+    if isinstance(gate, str):
         gl, lam, gr, kept, tw, q = bond_update_nogate(
             lam_l, tensors[bond], lambdas[bond], tensors[right], lam_r,
-            chi_max, cutoff, block_labels, chain.modulus, q_c)
+            gate, chi_max, cutoff, block_labels, chain.modulus, q_c)
     else:
         gl, lam, gr, kept, tw, q = bond_update(
             lam_l, tensors[bond], lambdas[bond], tensors[right], lam_r,
@@ -490,7 +545,8 @@ def apply_schedule(chain, schedule, chi_max, cutoff):
     """Run a schedule of bond updates in place; returns the max truncation weight.
 
     ``schedule`` is a list of ``(bond, gate)`` pairs applied in order; a
-    gate of None is a gate-free re-split. Before the first update each
+    gate of "right" or "left" is a gate-free restore that pushes the split's
+    remainder that way (``bond_update_nogate``). Before the first update each
     distinct gate is checked once, at the bond of its first use: on a
     labelled chain a gate that couples pair-charge sectors raises
     ValueError, and a complex gate on a real chain TypeError; a gate on a
@@ -500,7 +556,7 @@ def apply_schedule(chain, schedule, chi_max, cutoff):
     """
     ready = {}   # id of each distinct gate: the gate as _update_bond takes it
     for bond, gate in schedule:
-        if gate is None or id(gate) in ready:
+        if isinstance(gate, str) or id(gate) in ready:
             continue
         if chain.charges is not None:
             _check_gate_sectors(gate, chain, bond)
@@ -515,8 +571,9 @@ def apply_schedule(chain, schedule, chi_max, cutoff):
     log_norm = 0.0
     max_tw = 0.0
     for bond, gate in schedule:
-        # a restore's gate, None, has no entry and stays None
-        ln, tw = _update_bond(chain, ready.get(id(gate)), bond, chi_max, cutoff)
+        # a restore's push has no entry and passes as it is
+        ln, tw = _update_bond(chain, ready.get(id(gate), gate), bond, chi_max,
+                              cutoff)
         log_norm += ln
         if tw > max_tw:
             max_tw = tw
@@ -572,25 +629,34 @@ def sweep_chain(chain, gates, chi_max, cutoff, transposed=False):
 
 
 def canonicalize_chain(chain, chi_max, cutoff, site=None):
-    """Restore Vidal canonical form by identity bond updates, in place.
+    """Restore a finite chain's Vidal canonical form in place.
 
     Exact up to the requested truncation; the summed log of the kept norms
     is added to ``chain.log_scale`` and the largest truncation weight of
-    the restore is returned. Without ``site``, a left-to-right pass
+    the restore is returned. Each restore splits one site's tensor and
+    pushes the remainder to its neighbour (``bond_update_nogate``): the
+    left-to-right part pushes right, the right-to-left part pushes left.
+    Without ``site``, a left-to-right pass over every bond
     left-orthonormalizes, then a right-to-left pass produces true Schmidt
-    vectors at every bond (2(N-1) updates). With ``site``, the chain must be
-    canonical but for that one site's tensor: a right-to-left pass over
+    vectors at every bond (2(N-1) restores). With ``site``, the chain must
+    be canonical but for that one site's tensor: a right-to-left pass over
     bonds site-1 .. 0 makes them Schmidt bonds against the untouched right
-    part, then a left-to-right pass over bonds site .. N-2 does the same for
-    the rest (N-1 updates).
+    part, then a left-to-right pass over bonds site .. N-2 does the same
+    for the rest (N-1 restores). A periodic cell raises ValueError: a push
+    across its wrap bond does not make the infinite chain canonical, and
+    ``mpdo.reorthogonalize`` is the cell's restore.
     """
+    if chain.cell:
+        raise ValueError("canonicalize_chain restores finite chains; "
+                         "the periodic cell's restore is mpdo.reorthogonalize")
     n_bonds = len(chain.lambdas)
     if site is None:
-        order = [*range(n_bonds), *range(n_bonds - 1, -1, -1)]
+        schedule = [*((bond, "right") for bond in range(n_bonds)),
+                    *((bond, "left") for bond in range(n_bonds - 1, -1, -1))]
     else:
-        order = [*range(site - 1, -1, -1), *range(site, n_bonds)]
-    return apply_schedule(chain, [(bond, None) for bond in order], chi_max,
-                          cutoff)
+        schedule = [*((bond, "left") for bond in range(site - 1, -1, -1)),
+                    *((bond, "right") for bond in range(site, n_bonds))]
+    return apply_schedule(chain, schedule, chi_max, cutoff)
 
 
 def schmidt_entropy(lam):

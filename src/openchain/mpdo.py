@@ -20,7 +20,8 @@ between cells, and is periodically re-orthogonalized from the
 transfer-operator fixed points. ``reorthogonalize`` (its gauge cut of the
 (B,A) bond and its re-split of the (A,B) bond) and ``mpdo_from_dense`` split
 with the bond kernel's ``_split_theta`` and its truncation rule, like every
-gate, so the cut and the floored division by lambdas live only in the kernel.
+gate, and divide lambdas out with its floor guard (``_floored_inverse``), so
+the cut and the floor live only in the kernel.
 
 Charge labels: the XXZ Hamiltonian and the jumps sigma+, sigma-, sigma-z all
 commute with the Z2 map rho -> (prod sz) rho (prod sz), under which every
@@ -135,9 +136,9 @@ _DENSE_CUTOFF = 1e-14
 def _dense_to_vidal(vec, d, n):
     """Split a dense (d^n,) coefficient vector into Vidal tensors/lambdas.
 
-    Each cut is one bond-kernel split with the previous lambda on the left and
-    unit lambdas on the right; the last site's tensor is the last split's
-    right tensor.
+    Each cut is one bond-kernel split, with the previous lambda divided out
+    of its left tensor; the last site's tensor is the last split's right
+    tensor.
     """
     tensors, lambdas = [], []
     log_scale = 0.0
@@ -146,11 +147,11 @@ def _dense_to_vidal(vec, d, n):
     lam = np.ones(1)
     for k in range(n - 1):
         dl, dr = len(lam), d ** (n - k - 2)
-        gam_l, lam, gam_r, kept, _, _ = kernels._split_theta(
-            rest.reshape(dl * d, d * dr), dl, d, dr, lam, np.ones(dr),
-            _DENSE_CHI, _DENSE_CUTOFF)
+        u, lam_new, gam_r, kept, _, _ = kernels._split_theta(
+            rest.reshape(dl * d, d * dr), dl, d, dr, _DENSE_CHI, _DENSE_CUTOFF)
         log_scale += np.log(kept)
-        tensors.append(gam_l)
+        tensors.append(u * kernels._floored_inverse(lam).reshape(dl, 1, 1))
+        lam = lam_new
         lambdas.append(lam)
         rest = lam[:, None, None] * gam_r
     tensors.append(gam_r)
@@ -183,7 +184,11 @@ def mpdo_from_dense(rho, basis):
 
 
 def canonicalize(state: kernels.Chain, chi, cutoff):
-    """Restore canonical form; returns the restore's largest truncation weight."""
+    """Restore a finite chain's canonical form by one-site restores.
+
+    Returns the restore's largest truncation weight. The infinite cell's
+    restore is ``reorthogonalize``; this raises ValueError on it.
+    """
     return kernels.canonicalize_chain(state, chi, cutoff)
 
 
@@ -389,8 +394,8 @@ def reorthogonalize(state: kernels.Chain, chi, cutoff):
 
     The gauge cut is the kernel's split too: with the fixed points factored
     as v_r = x x^dag and v_l = y y^dag, ``kernels._split_theta`` splits
-    y^dag lambda x = U lambda_new V^dag (physical dimension 1, unit outer
-    lambdas) by the one truncation rule, and P = (y^+)^dag U, Q = V^dag x^+.
+    y^dag lambda x = U lambda_new V^dag (physical dimension 1) by the one
+    truncation rule, and P = (y^+)^dag U, Q = V^dag x^+.
     On a labelled cell both fixed points are block-diagonal in the (B,A)
     bond's charges, so x and y are factored per charge block, their columns
     carry the block's charge, and the split runs per block; the inner
@@ -422,8 +427,7 @@ def reorthogonalize(state: kernels.Chain, chi, cutoff):
                                         q_ba[cols_x])
     u, lam_ba_new, vh, _, _, q_ba_new = kernels._split_theta(
         y.conj().T @ (lam_ba[:, None] * x), len(cols_y), 1, len(cols_x),
-        np.ones(len(cols_y)), np.ones(len(cols_x)), chi, cutoff, labels,
-        state.modulus)
+        chi, cutoff, labels, state.modulus)
     keep = len(lam_ba_new)
     p_mat = y_pinv.conj().T @ u.reshape(-1, keep)
     q_mat = vh.reshape(keep, -1) @ x_pinv
@@ -435,8 +439,11 @@ def reorthogonalize(state: kernels.Chain, chi, cutoff):
     theta = theta * lam_ba_new[None, None, None, :]
     labels = None if q_ba is None else (q_ba_new, state.site_charge, q_ba_new)
     ga_new, lam_ab_new, gb_new, _, _, q_ab_new = kernels._split_theta(
-        theta.reshape(keep * 4, 4 * keep), keep, 4, keep, lam_ba_new,
-        lam_ba_new, chi, cutoff, labels, state.modulus)
+        theta.reshape(keep * 4, 4 * keep), keep, 4, keep, chi, cutoff, labels,
+        state.modulus)
+    inv = kernels._floored_inverse(lam_ba_new)
+    ga_new = ga_new * inv.reshape(keep, 1, 1)
+    gb_new = gb_new * inv.reshape(1, 1, keep)
 
     if state.basis.flavor == "pauli":
         for arr in (ga_new, gb_new):

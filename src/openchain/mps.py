@@ -94,9 +94,11 @@ def sweep(state: kernels.Chain, gate, chi, cutoff, transposed=False):
 def canonicalize(state: kernels.Chain, chi, cutoff, site=None):
     """Restore canonical form and norm; returns the max truncation weight.
 
-    With ``site``, the chain must be canonical but for that site's tensor
-    (after ``apply_site_op``), and N-1 bond updates restore it; without, the
-    full double pass runs (see ``kernels.canonicalize_chain``).
+    Every restore is a one-site split that pushes its remainder to the
+    neighbouring site. With ``site``, the chain must be canonical but for
+    that site's tensor (after ``apply_site_op``), and N-1 restores fix it;
+    without, the full double pass of 2(N-1) restores runs (see
+    ``kernels.canonicalize_chain``).
     """
     return kernels.canonicalize_chain(state, chi, cutoff, site=site)
 

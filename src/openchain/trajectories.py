@@ -17,7 +17,8 @@ Two schemes:
   carries U(1) S^z labels from its Neel start (``mps.label_charges``): H
   conserves S^z and a sigma+- jump moves it by one, so every bond update
   SVDs one block per magnetization sector, and a jump is restored in N-1
-  bond updates (``mps.canonicalize`` with ``site``).
+  one-site restores (``mps.canonicalize`` with ``site``), each the SVD of
+  one site's tensor with the remainder pushed to its neighbour.
 * ``per-step-conditional``: first order in (rate * dt); handles arbitrary
   rates (the first-order conditional unraveling, Daley, Adv. Phys. 63, 77
   (2014)). Each step applies non-Hermitian two-site gates (the effective
@@ -25,7 +26,8 @@ Two schemes:
   P0(h/2) P1(h) P0(h/2), reads the channel weights from
   ``mps.sz_any_gauge`` of the chain as the gates left it, conditionally
   fires each channel, and then canonicalizes once, whether or not a jump
-  fired. The gates are ``models.expm`` of the per-bond generators. Channels
+  fired: 2(N-1) one-site restores, a left-to-right pass and a right-to-left
+  pass. The gates are ``models.expm`` of the per-bond generators. Channels
   fire on weights read before the step's first jump, so two jumps can
   annihilate the state (sigma- twice on one up spin); the norm that the
   step's canonicalization divides out then falls to rounding noise, and the
@@ -157,8 +159,8 @@ def apply_jump(state, jump, chi, cutoff):
     """Apply a jump operator and restore canonical form / normalization.
 
     The chain must be canonical; the jumped site's weight is read from
-    ``mps.all_sz``, and the restore runs N-1 bond updates around the jumped
-    site. Raises FloatingPointError, naming the channel and site, when the
+    ``mps.all_sz``, and the restore runs N-1 one-site restores around the
+    jumped site. Raises FloatingPointError, naming the channel and site, when the
     jump would annihilate the state. A labelled
     chain's charges follow the jump. Returns the restore's largest
     truncation weight.

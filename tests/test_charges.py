@@ -175,11 +175,13 @@ def test_kernel_returns_labels_last():
     lam_l, lam_r = st.lambdas[0], st.lambdas[2]
     labels = (st.charges[0], BASES[0].parities(), st.charges[2])
     args = (lam_l, st.tensors[1], st.lambdas[1], st.tensors[2], lam_r)
-    out = kernels.bond_update_nogate(*args, 16, 1e-12, labels)
-    plain = kernels.bond_update_nogate(*args, 16, 1e-12)
-    assert len(out) == len(plain) == 6 and plain[5] is None
-    assert len(out[5]) == len(out[1]) == len(plain[1])
-    assert np.max(np.abs(out[1] - plain[1])) <= 1e-12
+    for push in ("right", "left"):
+        out = kernels.bond_update_nogate(*args, push, 16, 1e-12, labels, 2,
+                                         st.charges[1])
+        plain = kernels.bond_update_nogate(*args, push, 16, 1e-12)
+        assert len(out) == len(plain) == 6 and plain[5] is None
+        assert len(out[5]) == len(out[1]) == len(plain[1])
+        assert np.max(np.abs(out[1] - plain[1])) <= 1e-12
     gate = rng.standard_normal((16, 16))
     assert len(kernels.bond_update(*args, gate, 16, 1e-12)) == 6
 
@@ -206,9 +208,8 @@ def test_u1_split_equals_unlabelled_split_without_truncation():
                 np.array([3])):                     # a right outer bond, odd total
         dl, dr = len(q_l), len(q_r)
         theta = u1_theta(rng, q_l, q_r)
-        lam_l, lam_r = np.ones(dl), np.ones(dr)
-        plain = kernels._split_theta(theta, dl, 2, dr, lam_l, lam_r, 64, 0.0)
-        lab = kernels._split_theta(theta, dl, 2, dr, lam_l, lam_r, 64, 0.0,
+        plain = kernels._split_theta(theta, dl, 2, dr, 64, 0.0)
+        lab = kernels._split_theta(theta, dl, 2, dr, 64, 0.0,
                                    (q_l, np.array([0, 1]), q_r), modulus=None)
         nonzero = plain[1] > 1e-12
         assert np.max(np.abs(lab[1] - plain[1][:len(lab[1])])) <= 1e-12

@@ -20,14 +20,32 @@ def random_vidal_bond(rng, chi, d, dtype):
 
 
 def test_bond_update_is_exact_without_truncation():
+    """A restore, either push, keeps the two-site theta."""
     rng = np.random.default_rng(11)
     lam_l, gl, lam_c, gr, lam_r = random_vidal_bond(rng, 4, 2, np.complex128)
     theta_before = kernels._assemble_theta(lam_l, gl, lam_c, gr, lam_r)
-    ngl, nlam, ngr, kept, tw, _ = kernels.bond_update_nogate(
-        lam_l, gl, lam_c, gr, lam_r, 16, 0.0)
-    theta_after = kept * kernels._assemble_theta(lam_l, ngl, nlam, ngr, lam_r)
-    assert tw <= 1e-13
-    assert np.max(np.abs(theta_after - theta_before)) <= 1e-12
+    for push in ("right", "left"):
+        ngl, nlam, ngr, kept, tw, _ = kernels.bond_update_nogate(
+            lam_l, gl, lam_c, gr, lam_r, push, 16, 0.0)
+        theta_after = kept * kernels._assemble_theta(lam_l, ngl, nlam, ngr, lam_r)
+        assert tw <= 1e-13
+        assert np.max(np.abs(theta_after - theta_before)) <= 1e-12
+        # the split site is an isometry: left-orthonormal pushing right,
+        # right-orthonormal pushing left
+        eye = np.eye(len(nlam))
+        if push == "right":
+            a = (lam_l[:, None, None] * ngl).reshape(-1, len(nlam))
+            assert np.max(np.abs(a.conj().T @ a - eye)) <= 1e-12
+        else:
+            b = (ngr * lam_r[None, None, :]).reshape(len(nlam), -1)
+            assert np.max(np.abs(b @ b.conj().T - eye)) <= 1e-12
+
+
+def test_restore_names_its_push():
+    rng = np.random.default_rng(12)
+    bond = random_vidal_bond(rng, 3, 2, np.float64)
+    with pytest.raises(ValueError, match="'up'"):
+        kernels.bond_update_nogate(*bond, "up", 8, 0.0)
 
 
 def test_sweep_order_is_exact_reversal():
@@ -76,19 +94,21 @@ def test_complex_gate_on_a_real_mpdo_raises_and_leaves_it_untouched():
 def test_truncation_cap_and_cutoff():
     rng = np.random.default_rng(13)
     lam_l, gl, lam_c, gr, lam_r = random_vidal_bond(rng, 6, 2, np.float64)
-    _, lam, _, _, tw, _ = kernels.bond_update_nogate(lam_l, gl, lam_c, gr, lam_r, 3, 0.0)
-    assert len(lam) <= 3
-    assert tw > 0.0
-    assert abs(np.linalg.norm(lam) - 1.0) <= 1e-12
+    for push in ("right", "left"):
+        _, lam, _, _, tw, _ = kernels.bond_update_nogate(
+            lam_l, gl, lam_c, gr, lam_r, push, 3, 0.0)
+        assert len(lam) <= 3
+        assert tw > 0.0
+        assert abs(np.linalg.norm(lam) - 1.0) <= 1e-12
 
 
 def split(m, chi_max, cutoff):
-    """The bond kernel's split of a matrix with unit boundary lambdas, so the
-    returned tensors are U and V^dag: (U, kept singular values, V^dag, tw)."""
+    """The bond kernel's split of a matrix:
+    (U, kept singular values, V^dag, tw)."""
     rows, cols = m.shape
-    gl, lam, gr, kept, tw, _ = kernels._split_theta(
-        m, rows, 1, cols, np.ones(rows), np.ones(cols), chi_max, cutoff)
-    return gl.reshape(rows, -1), kept * lam, gr.reshape(-1, cols), tw
+    u, lam, vh, kept, tw, _ = kernels._split_theta(m, rows, 1, cols, chi_max,
+                                                   cutoff)
+    return u.reshape(rows, -1), kept * lam, vh.reshape(-1, cols), tw
 
 
 def test_split_weight_isometries_and_order():
@@ -171,7 +191,7 @@ def test_split_sums_and_inverses_match_the_scalar_loops():
                 else:
                     w2 += s[k] * s[k]
             _, _, _, kept, tw, _ = kernels._split_theta(
-                m, n, 1, n, np.ones(n), np.ones(n), max(1, n // 2), 1e-8)
+                m, n, 1, n, max(1, n // 2), 1e-8)
             assert kept == np.sqrt(kept2) and tw == np.sqrt(w2)
             inv = np.zeros(n)
             for a in range(n):
@@ -235,8 +255,10 @@ def split_weights(bond, gate, chi_max, cutoff, labelled):
     th = theta.reshape(dl, d, d, dr).transpose(1, 2, 0, 3).reshape(16, -1)
     theta = (gate @ th).reshape(d, d, dl, dr).transpose(2, 0, 1, 3).reshape(
         dl * d, d * dr)
-    full = kernels._split_theta(theta, dl, d, dr, lam_l, lam_r, chi_max,
-                                cutoff, labels, 2)
+    u, lam, vh, kept, tw, q = kernels._split_theta(theta, dl, d, dr, chi_max,
+                                                   cutoff, labels, 2)
+    full = (u * kernels._floored_inverse(lam_l)[:, None, None], lam,
+            vh * kernels._floored_inverse(lam_r), kept, tw, q)
     rebuilt = out[3] * kernels._assemble_theta(lam_l, out[0], out[1], out[2],
                                                lam_r)
     return theta, out, full, np.linalg.norm(theta - rebuilt)
@@ -307,11 +329,11 @@ def test_small_u1_blocks_call_no_qr(monkeypatch):
     gam_r = rng.standard_normal((len(q_c), 2, dr))
     groups, rows, cols = kernels._sectors((q_l, np.array([0, 1]), q_r), None)
     assert max(min(len(r), len(c)) for r, c in zip(rows, cols)) < 2 * 9
-    out = kernels._split_theta(theta, dl, 2, dr, np.ones(dl), np.ones(dr), 16,
-                               1e-10, (q_l, np.array([0, 1]), q_r), None,
+    out = kernels._split_theta(theta, dl, 2, dr, 16, 1e-10,
+                               (q_l, np.array([0, 1]), q_r), None,
                                (gam_r, np.ones(dr), q_c))
-    ref = kernels._split_theta(theta, dl, 2, dr, np.ones(dl), np.ones(dr), 16,
-                               1e-10, (q_l, np.array([0, 1]), q_r), None)
+    ref = kernels._split_theta(theta, dl, 2, dr, 16, 1e-10,
+                               (q_l, np.array([0, 1]), q_r), None)
     assert qr == []
     for a, b in zip(out, ref):
         assert np.array_equal(a, b)

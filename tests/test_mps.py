@@ -244,16 +244,19 @@ def test_restore_returns_its_truncation_weight():
 
 
 def test_single_site_restore_takes_n_minus_one_updates(monkeypatch):
-    bonds = []
+    bonds, pushes = [], []
     update = kernels._update_bond
 
     def counted(chain, gate, bond, *args):
         bonds.append(bond)
+        pushes.append(gate)
         return update(chain, gate, bond, *args)
 
     monkeypatch.setattr(kernels, "_update_bond", counted)
     st = random_canonical_chain(6, 2)
     bonds.clear()
+    pushes.clear()
     mps.apply_site_op(st, SP, 3)
     mps.canonicalize(st, 64, 0.0, site=3)
     assert bonds == [2, 1, 0, 3, 4]
+    assert pushes == ["left"] * 3 + ["right"] * 2
