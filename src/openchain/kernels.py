@@ -4,10 +4,11 @@ The two-site bond update (theta assembly, gate contraction, SVD re-split,
 guarded lambda division) dominates runtime for every engine, so it lives here
 as one plain numpy kernel. Its split, ``_split_theta``, is the one truncated
 SVD of the package and ``_keep_count`` the one truncation rule, called only
-from that split: the gated bond updates, the one-site restores, the infinite
-cell's gauge cut and inner re-split and the dense-to-MPDO decomposition all
-split with it. The split returns U and V^dag; each caller divides out the
-boundary lambdas it needs with the one floor guard, ``_floored_inverse``.
+from that split: the gated bond updates, the one-site restores and the
+infinite cell's gauge cut split with it. The cell's inner bond and the
+dense-to-MPDO decomposition are restores. The split returns U and V^dag;
+the bond updates divide out the boundary lambdas they need with the one
+floor guard, ``_floored_inverse``, and no other module divides by a lambda.
 
 A restore (``bond_update_nogate``) only moves the orthogonality centre, so
 it splits one site's tensor, a (dl*d, dc) or (dc, d*dr) matrix, and pushes
@@ -29,8 +30,8 @@ reported truncation weight, so the weight is the split's reconstruction
 error. When that residual exceeds the discarded tail plus the cutoff's
 share, the guess missed (a gate turned the row space away from it) and the
 update redoes the full block SVD. Smaller blocks, and the splits without a
-guess (the restores, the cell's gauge cut and inner re-split, the dense
-decomposition), always take the full SVD.
+guess (the restores, among them the cell's inner bond and the dense
+decomposition, and the cell's gauge cut), always take the full SVD.
 
 ``perfbench/run.py`` measures end-to-end runs and, with ``--trace 1``, the
 time spent in each public function here; its per-update readings (bond
@@ -233,9 +234,10 @@ def _split_theta(theta, dl, d, dr, chi_max, cutoff, labels=None, modulus=2,
 
     theta is (dl*d, d*dr). Returns (u, lam_new, vh, kept_norm, trunc_weight,
     q_new): u (dl, d, keep) and vh (keep, d, dr) hold the kept singular
-    vectors and lam_new the kept values over their norm, kept_norm. Callers
-    divide the boundary lambdas out of u and vh (``_floored_inverse``) where
-    they need Gammas.
+    vectors and lam_new the kept values over their norm, kept_norm. The
+    bond updates divide the boundary lambdas out of u and vh
+    (``_floored_inverse``) where they need Gammas; the cell's gauge cut
+    needs none.
 
     ``labels`` is None or (q_l, site charge, q_r): the charges of the outer
     bonds and of the physical index, in the group of ``modulus`` (2 for Z2,
@@ -642,7 +644,9 @@ def canonicalize_chain(chain, chi_max, cutoff, site=None):
     be canonical but for that one site's tensor: a right-to-left pass over
     bonds site-1 .. 0 makes them Schmidt bonds against the untouched right
     part, then a left-to-right pass over bonds site .. N-2 does the same
-    for the rest (N-1 restores). A periodic cell raises ValueError: a push
+    for the rest (N-1 restores). A restore that truncates leaves the
+    lambdas of the bonds restored before it stale, by up to its truncation
+    weight, as no pass revisits them. A periodic cell raises ValueError: a push
     across its wrap bond does not make the infinite chain canonical, and
     ``mpdo.reorthogonalize`` is the cell's restore.
     """

@@ -17,11 +17,11 @@ Finite chains use gate sweeps over all bonds; the translation-invariant
 infinite chain keeps a two-site unit cell (``Chain.cell``) with tensors
 (A, B) and bonds lambdas[0] = (A,B) inside the cell, lambdas[1] = (B,A)
 between cells, and is periodically re-orthogonalized from the
-transfer-operator fixed points. ``reorthogonalize`` (its gauge cut of the
-(B,A) bond and its re-split of the (A,B) bond) and ``mpdo_from_dense`` split
-with the bond kernel's ``_split_theta`` and its truncation rule, like every
-gate, and divide lambdas out with its floor guard (``_floored_inverse``), so
-the cut and the floor live only in the kernel.
+transfer-operator fixed points. ``reorthogonalize`` splits its gauge cut of
+the (B,A) bond with the bond kernel's ``_split_theta`` and its truncation
+rule, like every gate, and restores the (A,B) bond by the kernel's one-site
+restores, as ``mpdo_from_dense`` restores its whole chain. Nothing here
+divides by a lambda, so the cut and the floor live only in the kernel.
 
 Charge labels: the XXZ Hamiltonian and the jumps sigma+, sigma-, sigma-z all
 commute with the Z2 map rho -> (prod sz) rho (prod sz), under which every
@@ -133,33 +133,15 @@ _DENSE_CHI = 256
 _DENSE_CUTOFF = 1e-14
 
 
-def _dense_to_vidal(vec, d, n):
-    """Split a dense (d^n,) coefficient vector into Vidal tensors/lambdas.
-
-    Each cut is one bond-kernel split, with the previous lambda divided out
-    of its left tensor; the last site's tensor is the last split's right
-    tensor.
-    """
-    tensors, lambdas = [], []
-    log_scale = 0.0
-    rest = np.asarray(vec)
-    gam_r = rest.reshape(1, d, -1)
-    lam = np.ones(1)
-    for k in range(n - 1):
-        dl, dr = len(lam), d ** (n - k - 2)
-        u, lam_new, gam_r, kept, _, _ = kernels._split_theta(
-            rest.reshape(dl * d, d * dr), dl, d, dr, _DENSE_CHI, _DENSE_CUTOFF)
-        log_scale += np.log(kept)
-        tensors.append(u * kernels._floored_inverse(lam).reshape(dl, 1, 1))
-        lam = lam_new
-        lambdas.append(lam)
-        rest = lam[:, None, None] * gam_r
-    tensors.append(gam_r)
-    return tensors, lambdas, log_scale
-
-
 def mpdo_from_dense(rho, basis):
-    """Exact-to-truncation MPDO decomposition of a dense density matrix."""
+    """Exact-to-truncation MPDO decomposition of a dense density matrix.
+
+    The coefficients sit on site n//2; the sites before it are identity
+    maps that grow the bond to 4^(k+1), the sites after it identity maps
+    that shrink it, and every lambda is one. That chain is exact and
+    mixed-canonical about site n//2, so ``kernels.canonicalize_chain``
+    restores its Vidal form and cuts only at the true Schmidt values.
+    """
     rho = np.asarray(rho, dtype=complex)
     n = int(round(np.log2(rho.shape[0])))
     if n > _DENSE_MAX_SITES:
@@ -179,8 +161,16 @@ def mpdo_from_dense(rho, basis):
         if np.max(np.abs(coefs.imag)) > 1e-10:
             raise ValueError("pauli coefficients of a non-Hermitian operator")
         coefs = np.ascontiguousarray(coefs.real)
-    tensors, lambdas, log_scale = _dense_to_vidal(coefs, 4, n)
-    return kernels.Chain(tensors, lambdas, log_scale=log_scale, basis=basis)
+    mid = n // 2
+    grow = [np.eye(4 ** (k + 1), dtype=coefs.dtype).reshape(4 ** k, 4, -1)
+            for k in range(mid)]
+    shrink = [np.eye(4 ** (k + 1), dtype=coefs.dtype).reshape(-1, 4, 4 ** k)
+              for k in range(n - mid - 2, -1, -1)]
+    tensors = [*grow, coefs.reshape(4 ** mid, 4, -1), *shrink]
+    lambdas = [np.ones(t.shape[2]) for t in tensors[:-1]]
+    state = kernels.Chain(tensors, lambdas, basis=basis)
+    kernels.canonicalize_chain(state, _DENSE_CHI, _DENSE_CUTOFF)
+    return state
 
 
 def canonicalize(state: kernels.Chain, chi, cutoff):
@@ -385,22 +375,26 @@ def _charge_blocks(v_r, v_l, q):
 def reorthogonalize(state: kernels.Chain, chi, cutoff):
     """Restore the canonical form of the infinite unit cell.
 
-    Fuses the cell across the outer (B,A) bond, gauges that bond from the
-    left/right transfer fixed points, then re-splits the inner bond with the
-    bond kernel's split. The gauge Q C P of the fused cell C (chi, 16, chi)
-    is two matmuls, (Q @ C.reshape(chi, 16 chi)).reshape(16 chi', chi) @ P,
-    at O(16 chi^3); each power-iteration step of a fixed point is likewise
-    two matmuls.
+    Returns the restore's largest truncation weight, each split's over the
+    norm of the matrix it splits. Fuses the cell C (chi, 16, chi) across
+    the outer (B,A) bond for its left/right transfer fixed points (each
+    power-iteration step is two matmuls) and gauges that bond from them.
 
-    The gauge cut is the kernel's split too: with the fixed points factored
+    The gauge cut is the kernel's split: with the fixed points factored
     as v_r = x x^dag and v_l = y y^dag, ``kernels._split_theta`` splits
     y^dag lambda x = U lambda_new V^dag (physical dimension 1) by the one
-    truncation rule, and P = (y^+)^dag U, Q = V^dag x^+.
+    truncation rule, and P = (y^+)^dag U, Q = V^dag x^+ gauge the site
+    tensors, Gamma_A <- Q Gamma_A and Gamma_B <- Gamma_B P, at O(4 chi^3)
+    each. The inner (A,B) bond is then restored by two one-site pushes
+    (Schollwoeck, Ann. Phys. 326, 96 (2011)): an exact push right makes
+    lambda_BA Gamma_A an isometry U', so theta = U' m_2, and the left push's
+    split of m_2 is the split of theta by the one truncation rule. Both
+    pushes add their kept norms to ``log_scale``.
     On a labelled cell both fixed points are block-diagonal in the (B,A)
     bond's charges, so x and y are factored per charge block, their columns
-    carry the block's charge, and the split runs per block; the inner
-    re-split is the kernel's block split. The cell keeps its labels. An
-    unlabelled cell is one block.
+    carry the block's charge, and the gauge cut runs per block; the pushes
+    are the kernel's block splits. The cell keeps its labels. An unlabelled
+    cell is one block.
     Raises DegenerateTransferError if power iteration stalls or a labelled
     cell's fixed point couples charge sectors.
     """
@@ -425,37 +419,26 @@ def reorthogonalize(state: kernels.Chain, chi, cutoff):
     y, y_pinv, cols_y = _psd_factor(v_l, blocks)
     labels = None if q_ba is None else (q_ba[cols_y], np.zeros(1, np.int64),
                                         q_ba[cols_x])
-    u, lam_ba_new, vh, _, _, q_ba_new = kernels._split_theta(
+    u, lam_ba_new, vh, kept, gauge_tw, q_ba_new = kernels._split_theta(
         y.conj().T @ (lam_ba[:, None] * x), len(cols_y), 1, len(cols_x),
         chi, cutoff, labels, state.modulus)
     keep = len(lam_ba_new)
     p_mat = y_pinv.conj().T @ u.reshape(-1, keep)
     q_mat = vh.reshape(keep, -1) @ x_pinv
-    cell_new = (q_mat @ cell.reshape(chi_ba, -1)).reshape(-1, chi_ba) @ p_mat
-
-    # re-split the fused cell at the inner bond
-    theta = cell_new.reshape(keep, 4, 4, keep)
-    theta = theta * lam_ba_new[:, None, None, None]
-    theta = theta * lam_ba_new[None, None, None, :]
-    labels = None if q_ba is None else (q_ba_new, state.site_charge, q_ba_new)
-    ga_new, lam_ab_new, gb_new, _, _, q_ab_new = kernels._split_theta(
-        theta.reshape(keep * 4, 4 * keep), keep, 4, keep, chi, cutoff, labels,
-        state.modulus)
-    inv = kernels._floored_inverse(lam_ba_new)
-    ga_new = ga_new * inv.reshape(keep, 1, 1)
-    gb_new = gb_new * inv.reshape(1, 1, keep)
-
-    if state.basis.flavor == "pauli":
-        for arr in (ga_new, gb_new):
-            if np.max(np.abs(np.imag(arr))) > 1e-9:
-                raise DegenerateTransferError("re-orthogonalization left the real sector")
-        ga_new = np.ascontiguousarray(ga_new.real)
-        gb_new = np.ascontiguousarray(gb_new.real)
-    state.tensors = [ga_new, gb_new]
-    state.lambdas = [lam_ab_new, lam_ba_new]
+    state.tensors = [(q_mat @ ga.reshape(chi_ba, -1)).reshape(keep, 4, -1),
+                     (gb.reshape(-1, chi_ba) @ p_mat).reshape(-1, 4, keep)]
+    state.lambdas[1] = lam_ba_new
     if q_ba is not None:
-        state.charges = [q_ab_new, q_ba_new]
-    return state
+        state.charges[1] = q_ba_new
+
+    # restore the inner bond: an exact push right, then the truncating left
+    # push, whose split is that of the two-site theta
+    kernels.apply_schedule(state, [(0, "right")], len(lam_ab), 0.0)
+    log_scale = state.log_scale
+    push_tw = kernels.apply_schedule(state, [(0, "left")], chi, cutoff)
+    push_kept = np.exp(state.log_scale - log_scale)
+    return float(max(gauge_tw / np.hypot(kept, gauge_tw),
+                     push_tw / np.hypot(push_kept, push_tw)))
 
 
 def itebd_fixed_points(state: kernels.Chain):

@@ -227,9 +227,10 @@ def _run_itebd(cfg: RunConfig, outdir):
     rec_every = int(round(cfg.dt_obs / cfg.dt))
     cols = traces.trace_columns(2, "itebd")
     rows = []
+    restore_tw = []
 
     def refresh_and_record(t):
-        mpdo.reorthogonalize(state, cfg.chi, cfg.cutoff)
+        restore_tw.append(mpdo.reorthogonalize(state, cfg.chi, cfg.cutoff))
         fixed = mpdo.itebd_fixed_points(state)   # one eig serves both
         za, zb = mpdo.itebd_sz(state, fixed)
         eta = mpdo.itebd_renormalize(state, fixed)
@@ -240,8 +241,9 @@ def _run_itebd(cfg: RunConfig, outdir):
     # Drift is the trace per cell that one step loses: the cell's trace
     # eigenvalue after the step times the scale the step moved into
     # log_scale. Every step starts from eigenvalue one, as the cell is
-    # renormalized after each step and again after reorthogonalize, which
-    # normalizes the lambdas and so rescales the cell untracked.
+    # renormalized after each step and again after reorthogonalize. That
+    # normalizes the lambdas and moves its pushes' kept norms into
+    # log_scale, but no drift is taken across it, so nothing reads them.
     max_drift = 0.0
     max_tw = 0.0
     for step in range(1, n_steps + 1):
@@ -253,11 +255,12 @@ def _run_itebd(cfg: RunConfig, outdir):
         if step % rec_every == 0:
             refresh_and_record(step * cfg.dt)
         elif step % cfg.reorth_every == 0:
-            mpdo.reorthogonalize(state, cfg.chi, cfg.cutoff)
+            restore_tw.append(mpdo.reorthogonalize(state, cfg.chi, cfg.cutoff))
             mpdo.itebd_renormalize(state)
     path = outdir / "trace.csv"
     traces.write_csv(path, cols, rows)
     extras = {"max_step_trace_drift": max_drift, "max_trunc_weight": max_tw,
+              "max_restore_trunc_weight": max(restore_tw),
               "max_bond_dim": state.max_bond()}
     return str(path), None, extras
 

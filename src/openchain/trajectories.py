@@ -322,7 +322,7 @@ def _run_exact_jump_times(cfg: TrajectoryConfig, traj_index):
 # ----------------------------------------------------------------------------
 
 def _nh_rate_op(p: ModelParams):
-    """K = sum_c gamma_c L_c^dag L_c / gamma_c-normalization on one site."""
+    """K = sum_c gamma_c L_c^dag L_c on one site, L_c = sigma+, sigma-, sz."""
     k = np.zeros((2, 2), dtype=complex)
     k += p.gamma_plus * np.array([[0.0, 0.0], [0.0, 1.0]])   # sigma- sigma+
     k += p.gamma_minus * np.array([[1.0, 0.0], [0.0, 0.0]])  # sigma+ sigma-

@@ -334,7 +334,9 @@ def test_capped_gauge_cut_keeps_the_leading_gauge_values(basis, labelled):
     s = gauge_spectrum(st)
     assert len(st.lambdas[1]) > chi
     assert s[chi - 1] > 2.0 * s[chi]          # a clear gap at the cut
-    mpdo.reorthogonalize(st, chi, 1e-10)
+    weight = mpdo.reorthogonalize(st, chi, 1e-10)
+    assert weight == pytest.approx(np.linalg.norm(s[chi:]) / np.linalg.norm(s),
+                                   abs=1e-10)
     lam = st.lambdas[1]
     assert len(lam) == chi
     assert (st.charges is None) != labelled
@@ -352,7 +354,7 @@ def test_per_step_renormalization_only_rescales(basis):
              for r in (False, True)]
     assert max(tw for _, tw in cells) <= 1e-14
     for st, _ in cells:
-        mpdo.reorthogonalize(st, 128, 0.0)
+        assert mpdo.reorthogonalize(st, 128, 0.0) <= 1e-12
         mpdo.itebd_renormalize(st)
     (plain, _), (renormalized, _) = cells
     assert plain.bond_dims() == renormalized.bond_dims()
@@ -360,3 +362,33 @@ def test_per_step_renormalization_only_rescales(basis):
         assert np.max(np.abs(a - b)) <= 1e-12
     assert np.max(np.abs(np.subtract(mpdo.itebd_sz(plain),
                                      mpdo.itebd_sz(renormalized)))) <= 1e-12
+
+
+@BASES
+@pytest.mark.parametrize("labelled", [True, False], ids=["labelled", "plain"])
+def test_reorthogonalize_restores_the_inner_bond(basis, labelled):
+    p = ModelParams(gamma_plus=0.3, gamma_minus=0.5, gamma_z=0.2)
+    gates = mpdo.build_trotter4_gates(p, basis, 0.1)
+    st = mpdo.neel_mpdo(None, basis)
+    if not labelled:
+        st.charges = None
+    for _ in range(10):
+        mpdo.itebd_trotter4_step(st, gates, 32, 1e-12)
+    mpdo.reorthogonalize(st, 32, 1e-12)
+    ga, gb = st.tensors
+    lam_ab, lam_ba = st.lambdas
+    assert len(lam_ab) > 16
+    # lambda-weighted isometries, weighted as mps.check_canonical weighs them
+    for gam, lam_l, lam_r in ((ga, lam_ba, lam_ab), (gb, lam_ab, lam_ba)):
+        a = gam * lam_l[:, None, None]
+        left = np.einsum("asb,asc->bc", a.conj(), a) - np.eye(len(lam_r))
+        b = gam * lam_r[None, None, :]
+        right = np.einsum("asb,csb->ac", b, b.conj()) - np.eye(len(lam_l))
+        for dev, lam in ((left, lam_r), (right, lam_l)):
+            assert np.max(np.abs(lam[:, None] * dev * lam)) <= 1e-11
+    theta = np.einsum("a,asb,b,btc,c->astc", lam_ba, ga, lam_ab, gb, lam_ba)
+    s = np.linalg.svd(theta.reshape(4 * len(lam_ba), -1), compute_uv=False)
+    np.testing.assert_allclose(lam_ab, s[:len(lam_ab)] / np.linalg.norm(s),
+                               rtol=0.0, atol=1e-12)
+    if basis.flavor == "pauli":
+        assert ga.dtype == gb.dtype == np.float64

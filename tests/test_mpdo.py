@@ -106,18 +106,23 @@ def test_operator_entanglement_examples():
     assert oracle.dense_oe(rho, 1) == pytest.approx(2.0, abs=1e-12)
 
 
-def test_mpdo_from_dense_roundtrip_observables():
+@pytest.mark.parametrize("n", [1, 2, 4, 5, 8])
+def test_mpdo_from_dense_roundtrip_observables(n):
+    # n=1 has no bond; n=8 has the 256 bond at mpdo_from_dense's cap
     rng = np.random.default_rng(8)
-    m = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    dim = 2 ** n
+    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = m @ m.conj().T
     rho /= np.trace(rho).real
     for basis in (PAULI, linearized_basis()):
         st = mpdo.mpdo_from_dense(rho, basis)
+        assert st.bond_dims() == [min(4 ** k, 4 ** (n - k)) for k in range(1, n)]
         assert mpdo.trace(st) == pytest.approx(1.0, abs=1e-10)
         assert np.max(np.abs(mpdo.all_sz(st) - oracle.dense_sz(rho))) <= 1e-10
-        for cut in (1, 2, 3):
-            assert kernels.entropies(st)[cut - 1] == \
-                pytest.approx(oracle.dense_oe(rho, cut), abs=1e-8)
+        ent = kernels.entropies(st)
+        for cut in range(1, n):
+            assert ent[cut - 1] == pytest.approx(oracle.dense_oe(rho, cut),
+                                                 abs=1e-8)
 
 
 @pytest.mark.parametrize("rates", [

@@ -53,10 +53,11 @@ def test_validation_engine_constraints():
         runner.config_from_dict({"engine": "mpdo", "bogus_key": 1})
 
 
-@pytest.mark.parametrize("engine", ["mpdo", "qt"])
+@pytest.mark.parametrize("engine", ["mpdo", "qt", "itebd"])
 def test_manifest_reports_the_restore_truncation_weight(tmp_path, engine):
-    path, _ = write_cfg(tmp_path, engine=engine, n_traj=2, t_max=0.5,
-                        dt_obs=0.25, chi=8, cutoff=1e-6)
+    n_sites = "infinite" if engine == "itebd" else 4
+    path, _ = write_cfg(tmp_path, engine=engine, n_sites=n_sites, n_traj=2,
+                        t_max=0.5, dt_obs=0.25, chi=8, cutoff=1e-6)
     res = runner.run(runner.load_config(path))
     summary = json.loads(Path(res.manifest).read_text())["summary"]
     assert 0.0 <= summary["max_restore_trunc_weight"] <= 1e-6
