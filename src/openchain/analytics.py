@@ -87,6 +87,8 @@ def _window_points(times, values, window, min_points=8):
     t_min, t_max = window
     if not (t_min < t_max):
         raise ValueError(f"empty fit window {window}")
+    if t_min < 0:
+        raise ValueError(f"fit window {window} starts below t = 0")
     mask = (times > t_min) & (times < t_max)
     if mask.sum() < min_points:
         raise ValueError(f"fit window {window} holds only {int(mask.sum())} "

@@ -46,8 +46,8 @@ vectorized density operator (dimension 4), finite chain or periodic cell.
 The object is exp(``log_scale``) times the network; every kernel entry point
 (``apply_schedule``, ``sweep_chain``, ``canonicalize_chain``) updates the
 chain in place, divides the kept norm of each bond update out of it, adds
-the summed log of those norms to ``log_scale`` once per call and returns
-the largest truncation weight of the call. ``entropies`` reads the Schmidt
+the summed log of those norms to ``log_scale`` once per call and records
+each update's truncation weight on the chain. ``entropies`` reads the Schmidt
 entropy (``schmidt_entropy``) of every bond of any chain: the trajectory
 entanglement of a pure state and the operator entanglement of an MPDO.
 
@@ -433,7 +433,9 @@ class Chain:
     of the module docstring; the engines' constructors set them, and the
     kernel keeps ``charges`` aligned with ``lambdas``. ``basis`` is the
     operator basis of a density operator (None for a pure state); the kernel
-    never reads it.
+    never reads it. ``max_trunc_weight`` and ``max_restore_trunc_weight``
+    are the largest truncation weights of its gated updates and restores
+    since it was built, a constructor's included (``mpdo_from_dense``).
     """
     tensors: list = field(repr=False)
     lambdas: list = field(repr=False)
@@ -443,6 +445,8 @@ class Chain:
     modulus: int | None = None
     total_charge: int = 0
     basis: object = field(repr=False, default=None)
+    max_trunc_weight: float = 0.0
+    max_restore_trunc_weight: float = 0.0
 
     @property
     def n_sites(self):
@@ -516,7 +520,7 @@ def _check_gate_sectors(gate, chain, bond):
 
 
 def _update_bond(chain, gate, bond, chi_max, cutoff):
-    """One bond update with a cast gate or a restore's push; (log_norm, tw)."""
+    """One bond update (a cast gate or a restore's push); the log kept norm."""
     tensors, lambdas = chain.tensors, chain.lambdas
     right, lam_l, lam_r = _boundary(lambdas, bond, len(tensors))
     block_labels = q_c = None
@@ -525,26 +529,28 @@ def _update_bond(chain, gate, bond, chi_max, cutoff):
         _, q_l, q_r = _boundary(chain.charges, bond, len(tensors), edges)
         block_labels = (q_l, chain.site_charge, q_r)
         q_c = chain.charges[bond]
-    if isinstance(gate, str):
-        gl, lam, gr, kept, tw, q = bond_update_nogate(
-            lam_l, tensors[bond], lambdas[bond], tensors[right], lam_r,
-            gate, chi_max, cutoff, block_labels, chain.modulus, q_c)
-    else:
-        gl, lam, gr, kept, tw, q = bond_update(
-            lam_l, tensors[bond], lambdas[bond], tensors[right], lam_r,
-            gate, chi_max, cutoff, block_labels, chain.modulus, q_c)
+    restore = isinstance(gate, str)
+    update = bond_update_nogate if restore else bond_update
+    gl, lam, gr, kept, tw, q = update(
+        lam_l, tensors[bond], lambdas[bond], tensors[right], lam_r, gate,
+        chi_max, cutoff, block_labels, chain.modulus, q_c)
     tensors[bond] = gl
     tensors[right] = gr
     lambdas[bond] = lam
     if chain.charges is not None:
         chain.charges[bond] = q
+    if restore:
+        chain.max_restore_trunc_weight = max(chain.max_restore_trunc_weight,
+                                             float(tw))
+    else:
+        chain.max_trunc_weight = max(chain.max_trunc_weight, float(tw))
     if kept <= 0.0:
         raise FloatingPointError(f"vanishing norm in bond update at bond {bond}")
-    return float(np.log(kept)), float(tw)
+    return float(np.log(kept))
 
 
 def apply_schedule(chain, schedule, chi_max, cutoff):
-    """Run a schedule of bond updates in place; returns the max truncation weight.
+    """Run a schedule of bond updates in place.
 
     ``schedule`` is a list of ``(bond, gate)`` pairs applied in order; a
     gate of "right" or "left" is a gate-free restore that pushes the split's
@@ -554,7 +560,8 @@ def apply_schedule(chain, schedule, chi_max, cutoff):
     ValueError, and a complex gate on a real chain TypeError; a gate on a
     complex chain is cast to complex128. Each update's kept norm is divided
     out of the chain and the summed log added to ``chain.log_scale``; a
-    vanishing kept norm raises FloatingPointError.
+    vanishing kept norm raises FloatingPointError. Each update's truncation
+    weight raises the chain's gate or restore maximum (``Chain``).
     """
     ready = {}   # id of each distinct gate: the gate as _update_bond takes it
     for bond, gate in schedule:
@@ -571,16 +578,11 @@ def apply_schedule(chain, schedule, chi_max, cutoff):
             raise TypeError("complex gate applied to a real-valued chain; "
                             "gate flavor does not match the state")
     log_norm = 0.0
-    max_tw = 0.0
     for bond, gate in schedule:
         # a restore's push has no entry and passes as it is
-        ln, tw = _update_bond(chain, ready.get(id(gate), gate), bond, chi_max,
-                              cutoff)
-        log_norm += ln
-        if tw > max_tw:
-            max_tw = tw
+        log_norm += _update_bond(chain, ready.get(id(gate), gate), bond,
+                                 chi_max, cutoff)
     chain.log_scale += log_norm
-    return max_tw
 
 
 def layer_schedule(layers, n_bonds):
@@ -620,22 +622,22 @@ def fuse_sweeps(sweeps):
 
 
 def sweep_chain(chain, gates, chi_max, cutoff, transposed=False):
-    """One gate sweep over the whole chain; returns the max truncation weight.
+    """One gate sweep over the whole chain, in place.
 
     ``gates`` is a per-bond list (entries may repeat the same matrix); the
     chain is updated as by apply_schedule.
     """
     layers = [(parity, gates) for parity, _ in fuse_sweeps([(1, transposed)])]
-    return apply_schedule(chain, layer_schedule(layers, len(chain.lambdas)),
-                          chi_max, cutoff)
+    apply_schedule(chain, layer_schedule(layers, len(chain.lambdas)), chi_max,
+                   cutoff)
 
 
 def canonicalize_chain(chain, chi_max, cutoff, site=None):
     """Restore a finite chain's Vidal canonical form in place.
 
-    Exact up to the requested truncation; the summed log of the kept norms
-    is added to ``chain.log_scale`` and the largest truncation weight of
-    the restore is returned. Each restore splits one site's tensor and
+    Exact up to the requested truncation, as recorded in
+    ``chain.max_restore_trunc_weight``; the summed log of the kept norms is
+    added to ``chain.log_scale``. Each restore splits one site's tensor and
     pushes the remainder to its neighbour (``bond_update_nogate``): the
     left-to-right part pushes right, the right-to-left part pushes left.
     Without ``site``, a left-to-right pass over every bond
@@ -660,7 +662,7 @@ def canonicalize_chain(chain, chi_max, cutoff, site=None):
     else:
         schedule = [*((bond, "left") for bond in range(site - 1, -1, -1)),
                     *((bond, "right") for bond in range(site, n_bonds))]
-    return apply_schedule(chain, schedule, chi_max, cutoff)
+    apply_schedule(chain, schedule, chi_max, cutoff)
 
 
 def schmidt_entropy(lam):

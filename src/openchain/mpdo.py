@@ -176,10 +176,10 @@ def mpdo_from_dense(rho, basis):
 def canonicalize(state: kernels.Chain, chi, cutoff):
     """Restore a finite chain's canonical form by one-site restores.
 
-    Returns the restore's largest truncation weight. The infinite cell's
-    restore is ``reorthogonalize``; this raises ValueError on it.
+    The infinite cell's restore is ``reorthogonalize``; this raises
+    ValueError on it.
     """
-    return kernels.canonicalize_chain(state, chi, cutoff)
+    kernels.canonicalize_chain(state, chi, cutoff)
 
 
 def _trace_vector(basis):
@@ -278,7 +278,7 @@ def _run_trotter4(state: kernels.Chain, gates, n_gates, chi, cutoff):
                 f"expected {n_gates}")
         tables[frac] = list(table) * (n_bonds // n_gates)
     layers = [(parity, tables[frac]) for parity, frac in TROTTER4_LAYERS]
-    return kernels.apply_schedule(
+    kernels.apply_schedule(
         state, kernels.layer_schedule(layers, n_bonds), chi, cutoff)
 
 
@@ -286,10 +286,10 @@ def trotter4_step(state: kernels.Chain, gates, chi, cutoff):
     """One step dt of the fourth-order decomposition on a finite chain.
 
     Runs the 25 fused layers of TROTTER4_LAYERS through the shared schedule
-    executor; returns the largest truncation weight. ``gates`` comes from
-    build_trotter4_gates for the same chain and holds one gate per bond.
+    executor. ``gates`` comes from build_trotter4_gates for the same chain
+    and holds one gate per bond.
     """
-    return _run_trotter4(state, gates, len(state.lambdas), chi, cutoff)
+    _run_trotter4(state, gates, len(state.lambdas), chi, cutoff)
 
 
 # ----------------------------------------------------------------------------
@@ -297,12 +297,12 @@ def trotter4_step(state: kernels.Chain, gates, chi, cutoff):
 # ----------------------------------------------------------------------------
 
 def itebd_trotter4_step(state: kernels.Chain, gates, chi, cutoff):
-    """Fourth-order step on the unit cell; returns the largest truncation weight.
+    """Fourth-order step on the unit cell.
 
     Runs TROTTER4_LAYERS with parity = cell bond (0 = (A,B), 1 = (B,A)).
     ``gates`` holds the bulk tables of an infinite chain, one gate each.
     """
-    return _run_trotter4(state, gates, 1, chi, cutoff)
+    _run_trotter4(state, gates, 1, chi, cutoff)
 
 
 # power iteration of the transfer fixed points: tolerance and iteration cap
@@ -375,7 +375,7 @@ def _charge_blocks(v_r, v_l, q):
 def reorthogonalize(state: kernels.Chain, chi, cutoff):
     """Restore the canonical form of the infinite unit cell.
 
-    Returns the restore's largest truncation weight, each split's over the
+    Each split raises ``max_restore_trunc_weight`` to its weight over the
     norm of the matrix it splits. Fuses the cell C (chi, 16, chi) across
     the outer (B,A) bond for its left/right transfer fixed points (each
     power-iteration step is two matmuls) and gauges that bond from them.
@@ -388,8 +388,9 @@ def reorthogonalize(state: kernels.Chain, chi, cutoff):
     each. The inner (A,B) bond is then restored by two one-site pushes
     (Schollwoeck, Ann. Phys. 326, 96 (2011)): an exact push right makes
     lambda_BA Gamma_A an isometry U', so theta = U' m_2, and the left push's
-    split of m_2 is the split of theta by the one truncation rule. Both
-    pushes add their kept norms to ``log_scale``.
+    split of m_2 is the split of theta by the one truncation rule. Gamma_B
+    is divided by ||m_2|| = ||theta|| first, so the kernel records a
+    relative weight at any scale of the cell; the norms go to ``log_scale``.
     On a labelled cell both fixed points are block-diagonal in the (B,A)
     bond's charges, so x and y are factored per charge block, their columns
     carry the block's charge, and the gauge cut runs per block; the pushes
@@ -430,15 +431,19 @@ def reorthogonalize(state: kernels.Chain, chi, cutoff):
     state.lambdas[1] = lam_ba_new
     if q_ba is not None:
         state.charges[1] = q_ba_new
+    state.max_restore_trunc_weight = max(
+        state.max_restore_trunc_weight,
+        float(gauge_tw / np.hypot(kept, gauge_tw)))
 
     # restore the inner bond: an exact push right, then the truncating left
-    # push, whose split is that of the two-site theta
+    # push of a unit-norm m_2, whose split is that of the two-site theta
     kernels.apply_schedule(state, [(0, "right")], len(lam_ab), 0.0)
-    log_scale = state.log_scale
-    push_tw = kernels.apply_schedule(state, [(0, "left")], chi, cutoff)
-    push_kept = np.exp(state.log_scale - log_scale)
-    return float(max(gauge_tw / np.hypot(kept, gauge_tw),
-                     push_tw / np.hypot(push_kept, push_tw)))
+    lam_ab, lam_ba = state.lambdas
+    norm = float(np.linalg.norm(
+        state.tensors[1] * lam_ab[:, None, None] * lam_ba[None, None, :]))
+    state.tensors[1] = state.tensors[1] / norm
+    state.log_scale += float(np.log(norm))
+    kernels.apply_schedule(state, [(0, "left")], chi, cutoff)
 
 
 def itebd_fixed_points(state: kernels.Chain):

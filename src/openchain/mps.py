@@ -86,13 +86,13 @@ def label_charges(state: kernels.Chain):
 
 
 def sweep(state: kernels.Chain, gate, chi, cutoff, transposed=False):
-    """One sweep of the same gate over all bonds; returns max truncation weight."""
-    return kernels.sweep_chain(state, [gate] * len(state.lambdas), chi, cutoff,
-                               transposed)
+    """One sweep of the same gate over all bonds, in place."""
+    kernels.sweep_chain(state, [gate] * len(state.lambdas), chi, cutoff,
+                        transposed)
 
 
 def canonicalize(state: kernels.Chain, chi, cutoff, site=None):
-    """Restore canonical form and norm; returns the max truncation weight.
+    """Restore canonical form and norm in place.
 
     Every restore is a one-site split that pushes its remainder to the
     neighbouring site. With ``site``, the chain must be canonical but for
@@ -100,7 +100,7 @@ def canonicalize(state: kernels.Chain, chi, cutoff, site=None):
     without, the full double pass of 2(N-1) restores runs (see
     ``kernels.canonicalize_chain``).
     """
-    return kernels.canonicalize_chain(state, chi, cutoff, site=site)
+    kernels.canonicalize_chain(state, chi, cutoff, site=site)
 
 
 def apply_site_op(state: kernels.Chain, op, site):

@@ -101,7 +101,12 @@ def _near_multiple(a, b):
 
 def validate_config(cfg: RunConfig):
     """Collect every violated constraint; raise ConfigError if any."""
-    p = []
+    p, bad = [], set()   # bad: integer fields that hold no int
+    for name in ("n_sites", "chi", "n_traj", "seed", "reorth_every", "threads"):
+        v = getattr(cfg, name)   # not a float or a bool; n_sites None: infinite
+        if type(v) is not int and not (name == "n_sites" and v is None):
+            bad.add(name)
+            p.append(f"{name} must be an integer, got {v!r}")
     if cfg.engine not in ENGINES:
         p.append(f"engine must be one of {ENGINES}, got {cfg.engine!r}")
     if cfg.basis not in BASES:
@@ -115,11 +120,13 @@ def validate_config(cfg: RunConfig):
     else:
         if cfg.n_sites is None:
             p.append(f"engine {cfg.engine!r} requires a finite n_sites")
+        elif "n_sites" in bad:
+            pass   # reported above
         elif cfg.n_sites < 2 or cfg.n_sites % 2 != 0:
             p.append(f"n_sites must be even and >= 2, got {cfg.n_sites}")
         elif cfg.engine == "oracle" and cfg.n_sites > oracle.MAX_RHO_SITES:
             p.append(f"oracle engine is capped at n_sites <= {oracle.MAX_RHO_SITES}")
-    if cfg.chi < 1:
+    if "chi" not in bad and cfg.chi < 1:
         p.append("chi must be >= 1")
     if cfg.cutoff < 0:
         p.append("cutoff must be >= 0")
@@ -135,7 +142,7 @@ def validate_config(cfg: RunConfig):
             and not _near_multiple(cfg.dt_obs, cfg.dt):
         p.append("dt_obs must be an integer multiple of dt for density-operator engines")
     if cfg.engine == "qt":
-        if cfg.n_traj < 1:
+        if "n_traj" not in bad and cfg.n_traj < 1:
             p.append("n_traj must be >= 1 for the qt engine")
         if cfg.scheme not in SCHEMES:
             p.append(f"scheme must be one of {SCHEMES}, got {cfg.scheme!r}")
@@ -144,9 +151,9 @@ def validate_config(cfg: RunConfig):
                      "use per-step-conditional for imbalanced rates")
         if cfg.scheme == "per-step-conditional" and not _near_multiple(cfg.dt_obs, cfg.dt):
             p.append("dt_obs must be an integer multiple of dt for per-step-conditional")
-    if cfg.reorth_every < 1:
+    if "reorth_every" not in bad and cfg.reorth_every < 1:
         p.append("reorth_every must be >= 1")
-    if cfg.threads < 1:
+    if "threads" not in bad and cfg.threads < 1:
         p.append("threads must be >= 1")
     if p:
         raise ConfigError(p)
@@ -201,19 +208,18 @@ def _run_mpdo(cfg: RunConfig, outdir):
 
     record(0.0)
     max_drift = 0.0
-    max_tw = max_restore_tw = 0.0
     for step in range(1, n_steps + 1):
-        max_tw = max(max_tw, mpdo.trotter4_step(state, gates, cfg.chi, cfg.cutoff))
+        mpdo.trotter4_step(state, gates, cfg.chi, cfg.cutoff)
         tr_val = mpdo.renormalize_trace(state)
         max_drift = max(max_drift, abs(tr_val - 1.0))
         if step % rec_every == 0:
-            max_restore_tw = max(max_restore_tw,
-                                 mpdo.canonicalize(state, cfg.chi, cfg.cutoff))
+            mpdo.canonicalize(state, cfg.chi, cfg.cutoff)
             record(step * cfg.dt)
     path = outdir / "trace.csv"
     traces.write_csv(path, cols, rows)
-    extras = {"max_step_trace_drift": max_drift, "max_trunc_weight": max_tw,
-              "max_restore_trunc_weight": max_restore_tw,
+    extras = {"max_step_trace_drift": max_drift,
+              "max_trunc_weight": state.max_trunc_weight,
+              "max_restore_trunc_weight": state.max_restore_trunc_weight,
               "max_bond_dim": state.max_bond()}
     return str(path), None, extras
 
@@ -227,10 +233,9 @@ def _run_itebd(cfg: RunConfig, outdir):
     rec_every = int(round(cfg.dt_obs / cfg.dt))
     cols = traces.trace_columns(2, "itebd")
     rows = []
-    restore_tw = []
 
     def refresh_and_record(t):
-        restore_tw.append(mpdo.reorthogonalize(state, cfg.chi, cfg.cutoff))
+        mpdo.reorthogonalize(state, cfg.chi, cfg.cutoff)
         fixed = mpdo.itebd_fixed_points(state)   # one eig serves both
         za, zb = mpdo.itebd_sz(state, fixed)
         eta = mpdo.itebd_renormalize(state, fixed)
@@ -242,25 +247,25 @@ def _run_itebd(cfg: RunConfig, outdir):
     # eigenvalue after the step times the scale the step moved into
     # log_scale. Every step starts from eigenvalue one, as the cell is
     # renormalized after each step and again after reorthogonalize. That
-    # normalizes the lambdas and moves its pushes' kept norms into
-    # log_scale, but no drift is taken across it, so nothing reads them.
+    # normalizes the lambdas and moves Gamma_B's norm and its pushes' kept
+    # norms into log_scale, but no drift is taken across it.
     max_drift = 0.0
-    max_tw = 0.0
     for step in range(1, n_steps + 1):
         log_scale = state.log_scale
-        max_tw = max(max_tw, mpdo.itebd_trotter4_step(state, gates, cfg.chi, cfg.cutoff))
+        mpdo.itebd_trotter4_step(state, gates, cfg.chi, cfg.cutoff)
         eta = mpdo.itebd_renormalize(state)
         kept = eta * float(np.exp(state.log_scale - log_scale))
         max_drift = max(max_drift, abs(kept - 1.0))
         if step % rec_every == 0:
             refresh_and_record(step * cfg.dt)
         elif step % cfg.reorth_every == 0:
-            restore_tw.append(mpdo.reorthogonalize(state, cfg.chi, cfg.cutoff))
+            mpdo.reorthogonalize(state, cfg.chi, cfg.cutoff)
             mpdo.itebd_renormalize(state)
     path = outdir / "trace.csv"
     traces.write_csv(path, cols, rows)
-    extras = {"max_step_trace_drift": max_drift, "max_trunc_weight": max_tw,
-              "max_restore_trunc_weight": max(restore_tw),
+    extras = {"max_step_trace_drift": max_drift,
+              "max_trunc_weight": state.max_trunc_weight,
+              "max_restore_trunc_weight": state.max_restore_trunc_weight,
               "max_bond_dim": state.max_bond()}
     return str(path), None, extras
 
@@ -283,31 +288,19 @@ def _run_qt(cfg: RunConfig, outdir):
             traces.write_csv(tdir / f"traj_{k:05d}.csv", cols, rows)
     if cfg.n_traj >= 2:
         stats = tj.ensemble_stats(runs)
-        mean_sz = stats.sz_mean
-        mean_te = stats.mean
-        mean_sc = stats.s_center_mean
-        mean_jc = stats.jumps_mean
-        ens = {
-            "n_traj": stats.n_traj,
-            "times": stats.times.tolist(),
-            "te_mean": stats.mean.tolist(),
-            "te_std": stats.std.tolist(),
-            "te_stderr": stats.stderr.tolist(),
-            "s_center_mean": stats.s_center_mean.tolist(),
-            "s_center_stderr": stats.s_center_stderr.tolist(),
-            "sz_mean": stats.sz_mean.tolist(),
-            "sz_stderr": stats.sz_stderr.tolist(),
-            "jumps_mean": stats.jumps_mean.tolist(),
-        }
+        mean_sc, mean_te = stats.s_center_mean, stats.mean
+        mean_sz, mean_jc = stats.sz_mean, stats.jumps_mean
     else:
         tr = runs[0]
-        mean_sz = tr.sz
-        mean_te = tr.s_bond_avg
-        mean_sc = tr.s_center
-        mean_jc = tr.jumps_cum
-        ens = {"n_traj": 1, "times": tr.times.tolist(),
-               "te_mean": mean_te.tolist(), "s_center_mean": mean_sc.tolist(),
-               "sz_mean": mean_sz.tolist(), "jumps_mean": mean_jc.tolist()}
+        mean_sc, mean_te, mean_sz, mean_jc = (tr.s_center, tr.s_bond_avg,
+                                              tr.sz, tr.jumps_cum)
+    ens = {"n_traj": cfg.n_traj, "times": runs[0].times.tolist(),
+           "te_mean": mean_te.tolist(), "s_center_mean": mean_sc.tolist(),
+           "sz_mean": mean_sz.tolist(), "jumps_mean": mean_jc.tolist()}
+    if cfg.n_traj >= 2:   # the ensemble's spreads
+        ens.update(te_std=stats.std.tolist(), te_stderr=stats.stderr.tolist(),
+                   s_center_stderr=stats.s_center_stderr.tolist(),
+                   sz_stderr=stats.sz_stderr.tolist())
     ens_path = outdir / "ensemble.json"
     traces.write_json(ens_path, ens)
     cols = traces.trace_columns(n, "qt")

@@ -161,21 +161,20 @@ def apply_jump(state, jump, chi, cutoff):
     The chain must be canonical; the jumped site's weight is read from
     ``mps.all_sz``, and the restore runs N-1 one-site restores around the
     jumped site. Raises FloatingPointError, naming the channel and site, when the
-    jump would annihilate the state. A labelled
-    chain's charges follow the jump. Returns the restore's largest
-    truncation weight.
+    jump would annihilate the state. A labelled chain's charges follow the
+    jump.
     """
     if jump.channel == "z":
         # unitary and diagonal: Schmidt vectors are untouched
         mps.apply_site_op(state, SZ, jump.site)
-        return 0.0
+        return
     weight = _weights_from_sz(mps.all_sz(state), [jump])[0] / jump.rate
     if weight < 1e-28:
         raise FloatingPointError(
             f"post-jump norm {np.sqrt(max(weight, 0.0)):.2e} below 1e-14 "
             f"for channel {jump.channel} at site {jump.site}")
     mps.apply_site_op(state, jump.matrix / np.sqrt(jump.rate), jump.site)
-    return mps.canonicalize(state, chi, cutoff, site=jump.site)
+    mps.canonicalize(state, chi, cutoff, site=jump.site)
 
 
 _WINDOW_WIDTH = 11   # bonds whose entropies S_bond_avg averages
@@ -240,13 +239,14 @@ class _Recorder:
         self.jumps_cum[self.k] = n_jumps
         self.k += 1
 
-    def done(self, cfg, jump_log, max_tw, max_restore_tw):
+    def done(self, cfg, jump_log, state):
         return EntropyTrace(
             times=self.grid, tracked_bonds=list(self.tracked),
             bond_entropies=self.bond_entropies, s_center=self.s_center,
             s_bond_avg=self.s_bond_avg, sz=self.sz, jumps_cum=self.jumps_cum,
             jump_log=jump_log, n_sites=cfg.params.n_sites,
-            max_trunc_weight=max_tw, max_restore_trunc_weight=max_restore_tw)
+            max_trunc_weight=state.max_trunc_weight,
+            max_restore_trunc_weight=state.max_restore_trunc_weight)
 
 
 def _traj_rng(seed, traj_index):
@@ -273,12 +273,12 @@ def _strang_schedule(tables, n_pairs, n_bonds):
 def _evolve_hermitian(state, gate_fn, duration, cap, chi, cutoff):
     """n_sub Strang substeps under H, at most ``cap`` long, as one schedule."""
     if duration <= 1e-12:
-        return 0.0
+        return
     n_sub = max(1, int(np.ceil(duration / cap - 1e-9)))
     h = duration / n_sub
     n_bonds = len(state.lambdas)
     tables = {1: [gate_fn(0.5 * h)] * n_bonds, 2: [gate_fn(h)] * n_bonds}
-    return kernels.apply_schedule(
+    kernels.apply_schedule(
         state, _strang_schedule(tables, n_sub, n_bonds), chi, cutoff)
 
 
@@ -294,7 +294,6 @@ def _run_exact_jump_times(cfg: TrajectoryConfig, traj_index):
     cap = cfg.step_cap()
     rec = _Recorder(cfg, _window(n))
     jump_log = []
-    max_tw = max_restore_tw = 0.0
 
     t = 0.0
     next_jump = (sample_jump_time(0.0, 1.0 - rng.random(), n, gamma)
@@ -302,19 +301,17 @@ def _run_exact_jump_times(cfg: TrajectoryConfig, traj_index):
     rec.record(state, 0)
     for t_grid in rec.grid[1:]:
         while next_jump <= t_grid + 1e-12:
-            max_tw = max(max_tw, _evolve_hermitian(
-                state, gate_fn, next_jump - t, cap, cfg.chi, cfg.cutoff))
+            _evolve_hermitian(state, gate_fn, next_jump - t, cap, cfg.chi,
+                              cfg.cutoff)
             t = next_jump
             idx = select_jump_channel(state, jumps, rng)
-            max_restore_tw = max(max_restore_tw, apply_jump(
-                state, jumps[idx], cfg.chi, cfg.cutoff))
+            apply_jump(state, jumps[idx], cfg.chi, cfg.cutoff)
             jump_log.append((t, jumps[idx].site, jumps[idx].channel))
             next_jump = sample_jump_time(t, 1.0 - rng.random(), n, gamma)
-        max_tw = max(max_tw, _evolve_hermitian(
-            state, gate_fn, t_grid - t, cap, cfg.chi, cfg.cutoff))
+        _evolve_hermitian(state, gate_fn, t_grid - t, cap, cfg.chi, cfg.cutoff)
         t = t_grid
         rec.record(state, len(jump_log))
-    return rec.done(cfg, jump_log, max_tw, max_restore_tw)
+    return rec.done(cfg, jump_log, state)
 
 
 # ----------------------------------------------------------------------------
@@ -402,12 +399,10 @@ def _run_conditional(cfg: TrajectoryConfig, traj_index):
     schedule = _conditional_schedule(p, h)
     rec = _Recorder(cfg, _window(n))
     jump_log = []
-    max_tw = max_restore_tw = 0.0
 
     rec.record(state, 0)
     for step in range(1, n_steps + 1):
-        max_tw = max(max_tw, kernels.apply_schedule(
-            state, schedule, cfg.chi, cfg.cutoff))
+        kernels.apply_schedule(state, schedule, cfg.chi, cfg.cutoff)
         w = _weights_from_sz(mps.sz_any_gauge(state), jumps)
         mask = conditional_jump_mask(w, h, rng)
         fired = [jumps[k] for k in np.flatnonzero(mask)]
@@ -415,12 +410,11 @@ def _run_conditional(cfg: TrajectoryConfig, traj_index):
             mps.apply_site_op(state, j.matrix / np.sqrt(j.rate), j.site)
             jump_log.append((step * h, j.site, j.channel))
         log_scale = state.log_scale
-        max_restore_tw = max(max_restore_tw,
-                             mps.canonicalize(state, cfg.chi, cfg.cutoff))
+        mps.canonicalize(state, cfg.chi, cfg.cutoff)
         _check_step_norm(np.exp(state.log_scale - log_scale), step * h, fired)
         if step % rec_every == 0:
             rec.record(state, len(jump_log))
-    return rec.done(cfg, jump_log, max_tw, max_restore_tw)
+    return rec.done(cfg, jump_log, state)
 
 
 def run_dense_conditional(cfg: TrajectoryConfig, traj_index=0):

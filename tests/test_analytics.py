@@ -94,5 +94,10 @@ def test_fit_errors():
         analytics.fit_power_law(t, t, (9.5, 9.6))  # too few points
     with pytest.raises(ValueError):
         analytics.fit_power_law(t, t, (5.0, 1.0))  # empty window
+    grid = np.linspace(0.0, 10.0, 41)    # from t = 0
+    for fit in (analytics.fit_power_law, analytics.fit_log_growth):
+        with pytest.raises(ValueError,
+                           match=r"window \(-1\.0, 5\.0\) starts below t = 0"):
+            fit(grid, grid + 1.0, (-1.0, 5.0))
     res = analytics.fit_power_law(t, t, (1.0, 9.0)).to_dict()
     assert set(res) >= {"slope", "amplitude", "window", "residual", "kind"}

@@ -134,8 +134,8 @@ def test_sector_coupling_gate_raises_on_labelled_chain_only():
     with pytest.raises(ValueError, match=r"bond 2 .*off-block entry \d"):
         kernels.apply_schedule(st.copy(), [(2, gate)], 64, 1e-12)
     plain = unlabelled(st)
-    tw = kernels.apply_schedule(plain, [(2, gate)], 64, 1e-12)
-    assert tw >= 0.0 and plain.charges is None
+    kernels.apply_schedule(plain, [(2, gate)], 64, 1e-12)
+    assert plain.max_trunc_weight >= 0.0 and plain.charges is None
 
 
 def test_layers_check_each_distinct_gate_once(monkeypatch):

@@ -75,12 +75,11 @@ def gain_loss_cell(basis, steps, dt=0.1, chi=32, cutoff=1e-12,
     p = ModelParams(gamma_plus=0.4, gamma_minus=0.4)
     st = mpdo.neel_mpdo(None, basis)
     gates = mpdo.build_trotter4_gates(p, basis, dt)
-    max_tw = 0.0
     for _ in range(steps):
-        max_tw = max(max_tw, mpdo.itebd_trotter4_step(st, gates, chi, cutoff))
+        mpdo.itebd_trotter4_step(st, gates, chi, cutoff)
         if renormalize:
             mpdo.itebd_renormalize(st)
-    return st, max_tw
+    return st, st.max_trunc_weight
 
 
 BASES = pytest.mark.parametrize("basis", [PAULI, linearized_basis()],
@@ -334,7 +333,9 @@ def test_capped_gauge_cut_keeps_the_leading_gauge_values(basis, labelled):
     s = gauge_spectrum(st)
     assert len(st.lambdas[1]) > chi
     assert s[chi - 1] > 2.0 * s[chi]          # a clear gap at the cut
-    weight = mpdo.reorthogonalize(st, chi, 1e-10)
+    st.max_restore_trunc_weight = 0.0   # read this restore's weight alone
+    mpdo.reorthogonalize(st, chi, 1e-10)
+    weight = st.max_restore_trunc_weight
     assert weight == pytest.approx(np.linalg.norm(s[chi:]) / np.linalg.norm(s),
                                    abs=1e-10)
     lam = st.lambdas[1]
@@ -348,13 +349,33 @@ def test_capped_gauge_cut_keeps_the_leading_gauge_values(basis, labelled):
 
 
 @BASES
+def test_cell_restore_weight_does_not_depend_on_the_scale(basis):
+    """The inner bond's left push splits a unit-norm matrix, at any scale."""
+    st, gates = labelled_cell(basis, 1, chi=8)
+    kernels.apply_schedule(st, [(0, gates[1][0])], 32, 0.0)
+    chi = len(st.lambdas[1])       # the gauge cut keeps all of bond (B,A)
+    assert len(st.lambdas[0]) > chi
+    weights = []
+    for scale in (0.1, 1.0, 7.85):
+        cell = st.copy()
+        cell.tensors[1] = cell.tensors[1] * scale
+        cell.max_restore_trunc_weight = 0.0
+        mpdo.reorthogonalize(cell, chi, 0.0)
+        assert len(cell.lambdas[0]) == chi
+        weights.append(cell.max_restore_trunc_weight)
+    assert weights[1] > 1e-6
+    np.testing.assert_allclose(weights, weights[1], rtol=1e-12, atol=0.0)
+
+
+@BASES
 def test_per_step_renormalization_only_rescales(basis):
     # chi 128 and cutoff 0 cut nothing but rounding noise: no cut can flip
     cells = [gain_loss_cell(basis, 2, chi=128, cutoff=0.0, renormalize=r)
              for r in (False, True)]
     assert max(tw for _, tw in cells) <= 1e-14
     for st, _ in cells:
-        assert mpdo.reorthogonalize(st, 128, 0.0) <= 1e-12
+        mpdo.reorthogonalize(st, 128, 0.0)
+        assert st.max_restore_trunc_weight <= 1e-12
         mpdo.itebd_renormalize(st)
     (plain, _), (renormalized, _) = cells
     assert plain.bond_dims() == renormalized.bond_dims()

@@ -26,8 +26,8 @@ def test_identity_gate_is_noop():
     kernels.apply_schedule(st, [(1, build_xxz_gate(P2, 0.4))], 16, 1e-12)
     before_sz = mps.all_sz(st)
     before_s = kernels.entropies(st)
-    tw = kernels.apply_schedule(st, [(1, np.eye(4))], 16, 1e-12)
-    assert tw <= 1e-12
+    kernels.apply_schedule(st, [(1, np.eye(4))], 16, 1e-12)
+    assert st.max_trunc_weight <= 1e-12
     assert np.max(np.abs(mps.all_sz(st) - before_sz)) <= 1e-12
     assert np.max(np.abs(kernels.entropies(st) - before_s)) <= 1e-12
 
@@ -232,14 +232,16 @@ def test_single_site_restore_matches_the_double_pass():
         assert mps.check_canonical(local) <= 1e-12
 
 
-def test_restore_returns_its_truncation_weight():
+def test_restore_records_its_truncation_weight():
     base = random_canonical_chain(6, 2)
     op = np.array([[0.9, 0.3 - 0.2j], [0.1j, 0.4]])
     exact, cut = base.copy(), base.copy()
     for st in (exact, cut):
         mps.apply_site_op(st, op, 2)
-    assert mps.canonicalize(exact, 64, 0.0, site=2) <= 1e-12
-    assert mps.canonicalize(cut, 2, 0.0, site=2) > 1e-6
+    mps.canonicalize(exact, 64, 0.0, site=2)
+    mps.canonicalize(cut, 2, 0.0, site=2)
+    assert exact.max_restore_trunc_weight <= 1e-12
+    assert cut.max_restore_trunc_weight > 1e-6
     assert cut.max_bond() == 2
 
 

@@ -117,7 +117,8 @@ def test_full_restore_after_nonunitary_sweeps(case):
     st = nonunitary_sweeps(CHAINS[case](), np.random.default_rng(40))
     before = dense(st)
     assert mps.check_canonical(st) > 1e-3   # the sweeps broke the gauge
-    assert kernels.canonicalize_chain(st, 1024, 0.0) <= 1e-12
+    kernels.canonicalize_chain(st, 1024, 0.0)
+    assert st.max_restore_trunc_weight <= 1e-12
     assert_restored(st, before)
 
 
@@ -130,7 +131,8 @@ def test_single_site_restore_after_a_site_op(case):
         st = base.copy()
         site_op(st, rng, site)
         before = dense(st)
-        assert kernels.canonicalize_chain(st, 1024, 0.0, site=site) <= 1e-12
+        kernels.canonicalize_chain(st, 1024, 0.0, site=site)
+        assert st.max_restore_trunc_weight <= 1e-12
         assert_restored(st, before)
 
 
@@ -147,11 +149,39 @@ def test_restore_weight_is_the_discarded_norm(case):
     # of the later truncated split is relative to the state's norm
     site_op(st, rng, 0)
     before = dense(st)
-    tw = kernels.canonicalize_chain(st, chi, 0.0, site=0)
+    gated = st.max_trunc_weight
+    kernels.canonicalize_chain(st, chi, 0.0, site=0)
+    tw = st.max_restore_trunc_weight
     assert st.max_bond() == chi
     discarded = np.linalg.norm(before - dense(st)) / np.linalg.norm(before)
     assert tw > 1e-3
     assert abs(tw - discarded) <= 1e-12
+    assert st.max_trunc_weight == gated      # a restore is not a gate
+
+
+@CASES
+def test_a_truncating_gate_raises_only_the_gate_maximum(case):
+    rng = np.random.default_rng(43)
+    st = nonunitary_sweeps(CHAINS[case](), rng)
+    assert st.max_restore_trunc_weight == 0.0
+    gated = st.max_trunc_weight
+    assert st.bond_dims()[2] > 2
+    q = site_charges(st)
+    gate = random_map(rng, st, (q[:, None] + q[None, :]).ravel(), 0.6)
+    kernels.apply_schedule(st, [(2, gate)], 2, 0.0)
+    assert st.bond_dims()[2] == 2
+    assert st.max_trunc_weight > max(gated, 1e-3)
+    assert st.max_restore_trunc_weight == 0.0
+
+
+def test_copy_carries_the_truncation_maxima():
+    st = nonunitary_sweeps(mps_chain(True), np.random.default_rng(44))
+    kernels.apply_schedule(st, [(2, np.eye(4))], 2, 0.0)
+    kernels.canonicalize_chain(st, 1, 0.0)
+    copy = st.copy()
+    assert st.max_trunc_weight > 0.0 and st.max_restore_trunc_weight > 0.0
+    assert copy.max_trunc_weight == st.max_trunc_weight
+    assert copy.max_restore_trunc_weight == st.max_restore_trunc_weight
 
 
 def test_periodic_cell_is_not_canonicalized():

@@ -31,14 +31,27 @@ def test_config_roundtrip(tmp_path):
 
 def test_validation_collects_every_violation():
     cfg = runner.RunConfig(engine="bogus", n_sites=7, gamma_z=-1.0, chi=0,
-                           dt=-0.1, dt_obs=0.0, t_max=-2.0, threads=0)
+                           dt=-0.1, dt_obs=0.0, t_max=-2.0, threads=0,
+                           n_traj=2.5, reorth_every=True)
     with pytest.raises(runner.ConfigError) as exc:
         runner.validate_config(cfg)
     msgs = "\n".join(exc.value.problems)
-    assert len(exc.value.problems) >= 7
+    assert len(exc.value.problems) >= 9
     for frag in ("engine", "n_sites", "gamma_z", "chi", "dt ", "dt_obs",
-                 "t_max", "threads"):
+                 "t_max", "threads", "n_traj must be an integer",
+                 "reorth_every must be an integer"):
         assert frag in msgs
+
+
+@pytest.mark.parametrize("name, value", [
+    ("chi", 16.5), ("chi", True), ("reorth_every", 1.5), ("n_traj", 2.5),
+    ("n_sites", 4.0), ("seed", 0.0), ("threads", False), ("chi", "8"),
+    ("n_sites", "4"), ("n_traj", None)])
+def test_validation_rejects_non_integer_counts(name, value):
+    cfg = runner.config_from_dict({"engine": "qt", "n_sites": 4, name: value})
+    with pytest.raises(runner.ConfigError) as exc:
+        runner.validate_config(cfg)
+    assert f"{name} must be an integer, got {value!r}" in exc.value.problems
 
 
 def test_validation_engine_constraints():

@@ -21,12 +21,11 @@ def unfused_finite_step(st, tables, chi, cutoff):
     """TROTTER4_SEQUENCE applied sweep by sweep, bond by bond (36 layers)."""
     n_bonds = len(st.lambdas)
     odd, even = list(range(0, n_bonds, 2)), list(range(1, n_bonds, 2))
-    max_tw = 0.0
     for frac, transposed in mpdo.TROTTER4_SEQUENCE:
         for bond in (even[::-1] + odd[::-1] if transposed else odd + even):
-            max_tw = max(max_tw, kernels.apply_schedule(
-                st, [(bond, tables[frac][bond])], chi, cutoff))
-    return max_tw
+            kernels.apply_schedule(st, [(bond, tables[frac][bond])], chi,
+                                   cutoff)
+    return st.max_trunc_weight
 
 
 def unfused_cell_step(st, tables, chi, cutoff):
@@ -95,7 +94,8 @@ def test_fused_step_equals_unfused_product_finite(basis):
     gates = mpdo.build_trotter4_gates(p, basis, dt)
     tables = sweep_tables(p, basis, dt)
     for _ in range(2):
-        assert mpdo.trotter4_step(fused, gates, chi, cutoff) == 0.0
+        mpdo.trotter4_step(fused, gates, chi, cutoff)
+        assert fused.max_trunc_weight == 0.0
         assert unfused_finite_step(unfused, tables, chi, cutoff) == 0.0
     assert fused.bond_dims() == [4, 16, 64, 16, 4]
     assert np.max(np.abs(dense_coefficients(fused)
@@ -108,8 +108,9 @@ def test_fused_step_equals_unfused_product_cell(basis):
     dt, chi, cutoff = 0.02, 64, 0.0
     fused = mpdo.neel_mpdo(None, basis)
     unfused = fused.copy()
-    tw_fused = mpdo.itebd_trotter4_step(
-        fused, mpdo.build_trotter4_gates(p, basis, dt), chi, cutoff)
+    mpdo.itebd_trotter4_step(fused, mpdo.build_trotter4_gates(p, basis, dt),
+                             chi, cutoff)
+    tw_fused = fused.max_trunc_weight
     tw_unfused = unfused_cell_step(unfused, sweep_tables(p, basis, dt), chi, cutoff)
     assert max(tw_fused, tw_unfused) <= 1e-12
     assert np.max(np.abs(ring_coefficients(fused)
