@@ -388,9 +388,10 @@ def reorthogonalize(state: kernels.Chain, chi, cutoff):
     each. The inner (A,B) bond is then restored by two one-site pushes
     (Schollwoeck, Ann. Phys. 326, 96 (2011)): an exact push right makes
     lambda_BA Gamma_A an isometry U', so theta = U' m_2, and the left push's
-    split of m_2 is the split of theta by the one truncation rule. Gamma_B
-    is divided by ||m_2|| = ||theta|| first, so the kernel records a
-    relative weight at any scale of the cell; the norms go to ``log_scale``.
+    split of m_2 is the split of theta by the one truncation rule. Both
+    pushes add their kept norms to ``log_scale``. The cell's scale is
+    arbitrary, so the left push's weight, recorded by the kernel, is
+    divided by ||m_2|| = ||theta||; the push itself splits m_2 unscaled.
     On a labelled cell both fixed points are block-diagonal in the (B,A)
     bond's charges, so x and y are factored per charge block, their columns
     carry the block's charge, and the gauge cut runs per block; the pushes
@@ -431,19 +432,19 @@ def reorthogonalize(state: kernels.Chain, chi, cutoff):
     state.lambdas[1] = lam_ba_new
     if q_ba is not None:
         state.charges[1] = q_ba_new
-    state.max_restore_trunc_weight = max(
-        state.max_restore_trunc_weight,
-        float(gauge_tw / np.hypot(kept, gauge_tw)))
 
     # restore the inner bond: an exact push right, then the truncating left
-    # push of a unit-norm m_2, whose split is that of the two-site theta
+    # push, whose split is that of the two-site theta; the kernel records
+    # the push's weight alone, which is then taken over ||m_2||
     kernels.apply_schedule(state, [(0, "right")], len(lam_ab), 0.0)
     lam_ab, lam_ba = state.lambdas
-    norm = float(np.linalg.norm(
-        state.tensors[1] * lam_ab[:, None, None] * lam_ba[None, None, :]))
-    state.tensors[1] = state.tensors[1] / norm
-    state.log_scale += float(np.log(norm))
+    m_2_norm = np.linalg.norm(
+        state.tensors[1] * lam_ab[:, None, None] * lam_ba[None, None, :])
+    before, state.max_restore_trunc_weight = state.max_restore_trunc_weight, 0.0
     kernels.apply_schedule(state, [(0, "left")], chi, cutoff)
+    state.max_restore_trunc_weight = float(max(
+        before, gauge_tw / np.hypot(kept, gauge_tw),
+        state.max_restore_trunc_weight / m_2_norm))
 
 
 def itebd_fixed_points(state: kernels.Chain):

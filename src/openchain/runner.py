@@ -247,8 +247,8 @@ def _run_itebd(cfg: RunConfig, outdir):
     # eigenvalue after the step times the scale the step moved into
     # log_scale. Every step starts from eigenvalue one, as the cell is
     # renormalized after each step and again after reorthogonalize. That
-    # normalizes the lambdas and moves Gamma_B's norm and its pushes' kept
-    # norms into log_scale, but no drift is taken across it.
+    # normalizes the lambdas and moves its pushes' kept norms into
+    # log_scale, but no drift is taken across it, so nothing reads them.
     max_drift = 0.0
     for step in range(1, n_steps + 1):
         log_scale = state.log_scale

@@ -350,7 +350,7 @@ def test_capped_gauge_cut_keeps_the_leading_gauge_values(basis, labelled):
 
 @BASES
 def test_cell_restore_weight_does_not_depend_on_the_scale(basis):
-    """The inner bond's left push splits a unit-norm matrix, at any scale."""
+    """The inner bond's left push records its weight relative to its matrix."""
     st, gates = labelled_cell(basis, 1, chi=8)
     kernels.apply_schedule(st, [(0, gates[1][0])], 32, 0.0)
     chi = len(st.lambdas[1])       # the gauge cut keeps all of bond (B,A)
@@ -365,6 +365,9 @@ def test_cell_restore_weight_does_not_depend_on_the_scale(basis):
         weights.append(cell.max_restore_trunc_weight)
     assert weights[1] > 1e-6
     np.testing.assert_allclose(weights, weights[1], rtol=1e-12, atol=0.0)
+    cell.max_restore_trunc_weight = 0.5    # an earlier, larger restore's
+    mpdo.reorthogonalize(cell, chi, 0.0)
+    assert cell.max_restore_trunc_weight == 0.5
 
 
 @BASES
